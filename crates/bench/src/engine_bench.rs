@@ -13,10 +13,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use nacu::{Function, NacuConfig};
-use nacu_engine::executor::BatchExecutor;
+use nacu_engine::executor::{BatchExecutor, ScalarGather};
 use nacu_engine::{
-    Engine, EngineConfig, ExecutorSelect, LatencyBudget, Request, SloSpec, Stage, SubmitError,
-    ThroughputReport,
+    Engine, EngineConfig, LatencyBudget, Request, SloSpec, Stage, SubmitError, ThroughputReport,
 };
 use nacu_fixed::{Fx, QFormat, Rounding};
 
@@ -251,10 +250,6 @@ pub struct FastPathRow {
     pub datapath_ops_per_sec: f64,
     /// Fast-path operands actually served from the tables in the fast run.
     pub fast_path_ops: u64,
-    /// Fast-path operands that went through a vectorized (chunked/SIMD)
-    /// gather — equals `fast_path_ops` when the engine resolved to a
-    /// vectorized executor, 0 on the scalar one.
-    pub fast_path_chunked_ops: u64,
 }
 
 impl FastPathRow {
@@ -293,7 +288,6 @@ pub fn fast_path_comparison(
             let mut fast_ops_per_sec = 0.0f64;
             let mut datapath_ops_per_sec = 0.0f64;
             let mut fast_path_ops = 0u64;
-            let mut fast_path_chunked_ops = 0u64;
             for _ in 0..trials.max(1) {
                 for fast in [false, true] {
                     let engine = Engine::new(
@@ -309,7 +303,6 @@ pub fn fast_path_comparison(
                         fast_ops_per_sec = fast_ops_per_sec.max(row.ops_per_sec);
                         let m = engine.metrics();
                         fast_path_ops = fast_path_ops.max(m.fast_path_ops);
-                        fast_path_chunked_ops = fast_path_chunked_ops.max(m.fast_path_chunked_ops);
                     } else {
                         datapath_ops_per_sec = datapath_ops_per_sec.max(row.ops_per_sec);
                     }
@@ -321,7 +314,6 @@ pub fn fast_path_comparison(
                 fast_ops_per_sec,
                 datapath_ops_per_sec,
                 fast_path_ops,
-                fast_path_chunked_ops,
             }
         })
         .collect()
@@ -356,7 +348,7 @@ pub fn memcpy_bandwidth_gbps(mib: usize, trials: usize) -> f64 {
 
 /// Bare gather-executor throughput, no engine around it: one thread
 /// re-fills a `batch`-operand buffer from a pristine ramp and runs the
-/// resolved executor over it, best of `trials`. This is the ceiling the
+/// [`ScalarGather`] executor over it, best of `trials`. This is the ceiling the
 /// in-engine fast path chases — the gap between this number and the
 /// served ops/s is queueing, coalescing and ticket overhead, not gather
 /// cost.
@@ -365,12 +357,11 @@ pub fn memcpy_bandwidth_gbps(mib: usize, trials: usize) -> f64 {
 ///
 /// Panics if the paper configuration fails to validate (it never does).
 #[must_use]
-pub fn gather_ceiling_ops_per_sec(select: ExecutorSelect, batch: usize, trials: usize) -> f64 {
-    use nacu_engine::executor::table_executor;
+pub fn gather_ceiling_ops_per_sec(batch: usize, trials: usize) -> f64 {
     let nacu = nacu::Nacu::new(NacuConfig::paper_16bit()).expect("paper config");
     let tables = nacu::ResponseTables::build(&nacu).expect("16-bit fits the table budget");
     let table = tables.get(Function::Sigmoid).expect("unary function");
-    let executor = table_executor(select.resolve(), table);
+    let executor = ScalarGather::new(table);
     let src = operand_ramp(nacu.config().format, batch.max(1));
     let mut xs = src.clone();
     // Enough passes per timing window to outlast timer granularity.
@@ -382,7 +373,7 @@ pub fn gather_ceiling_ops_per_sec(select: ExecutorSelect, batch: usize, trials: 
             xs.copy_from_slice(&src);
             executor
                 .execute(std::hint::black_box(&mut xs))
-                .expect("table executors are infallible");
+                .expect("the table gather is infallible");
         }
         let secs = started.elapsed().as_secs_f64();
         std::hint::black_box(&xs);
@@ -561,10 +552,8 @@ mod tests {
         let row = &rows[0];
         assert!(row.fast_ops_per_sec > 0.0);
         assert!(row.datapath_ops_per_sec > 0.0);
-        // The fast side really ran on the tables: 16 requests × 8 operands,
-        // all through the default (Auto ⇒ vectorized) executor.
+        // The fast side really ran on the tables: 16 requests × 8 operands.
         assert_eq!(row.fast_path_ops, 16 * 8);
-        assert_eq!(row.fast_path_chunked_ops, 16 * 8);
         assert!(row.speedup() > 0.0);
     }
 
@@ -575,15 +564,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_ceiling_measures_every_executor() {
-        for select in [
-            ExecutorSelect::Scalar,
-            ExecutorSelect::Chunked,
-            ExecutorSelect::Simd,
-        ] {
-            let rate = gather_ceiling_ops_per_sec(select, 256, 1);
-            assert!(rate > 0.0 && rate.is_finite(), "{select:?}");
-        }
+    fn gather_ceiling_is_positive_and_finite() {
+        let rate = gather_ceiling_ops_per_sec(256, 1);
+        assert!(rate > 0.0 && rate.is_finite());
     }
 
     #[test]

@@ -2,154 +2,33 @@
 //! arithmetic that actually serves a coalesced unary batch.
 //!
 //! A [`BatchExecutor`] rewrites one operand buffer in place with the
-//! function's responses. The pool picks an implementation once per
-//! engine (via [`ExecutorSelect`]) and every table-backed path —
-//! scalar lookup, chunked gather, manual SIMD gather — and the
-//! datapath walk become interchangeable behind the same trait. That is
-//! also the seam a CGRA-backed worker variant would plug into later:
-//! anything that can turn a batch of operands into bit-identical
-//! outputs is an executor.
+//! function's responses. There are exactly two: [`ScalarGather`], one
+//! masked lookup per operand into the engine's shared response table,
+//! and [`DatapathWalk`], the full checked datapath that fault-planned
+//! workers (and formats too wide to tabulate) serve from. That is also
+//! the seam a CGRA-backed worker variant would plug into later: anything
+//! that can turn a batch of operands into bit-identical outputs is an
+//! executor.
 //!
-//! The vectorized paths chase the memory-bandwidth ceiling the paper's
-//! Table I argument implies for a table-served unary op:
-//!
-//! * [`ChunkedGather`] processes fixed-width chunks in two passes —
-//!   index arithmetic first (a branch-free loop the autovectorizer can
-//!   lift, with software prefetch of the gathered entries on x86-64),
-//!   then the gather and writeback — with a scalar remainder tail.
-//! * [`SimdGather`] (behind the `simd` cargo feature) is a widened
-//!   `u16x8`-style manual path: eight-lane index/gather/writeback
-//!   stages staged through lane arrays that map onto SSE2 vectors,
-//!   software-pipelined so each group's table entries are prefetched
-//!   while the previous group gathers. Pre-AVX2 x86 has no hardware
-//!   gather instruction, so the table reads themselves stay scalar;
-//!   the lanes vectorize the index and writeback arithmetic around
-//!   them.
-//!
-//! All index mapping is `unsafe`-free: tables hold exactly `2^N`
-//! entries, so `offset & table.index_mask()` is provably in bounds and
-//! the compiler drops the bounds checks (see
-//! [`ResponseTable::index_mask`]). Bit-identity is by construction —
-//! every executor reads the same table entry and rebuilds the value
-//! through the same saturating constructor — and re-proven by the
-//! exhaustive sweeps in this module and in `tests/bit_identical.rs`.
+//! Bit-identity of the gather is by construction — the table holds the
+//! golden datapath's own answers — and re-proven by the exhaustive
+//! sweeps in this module and in `tests/bit_identical.rs`.
 
 use nacu::{Function, ResponseTable};
 use nacu_faults::{CheckedNacu, FaultEvent};
 use nacu_fixed::Fx;
 
-/// Which implementation actually served a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// Full datapath walk on a [`CheckedNacu`] (the fallible slow path).
-    Datapath,
-    /// One scalar table lookup per operand (the PR 5 fast path).
-    Scalar,
-    /// Fixed-width chunked gather with a scalar remainder tail.
-    Chunked,
-    /// Widened eight-lane manual SIMD gather. Without the `simd` cargo
-    /// feature this kind is still nameable but resolves to the chunked
-    /// implementation.
-    Simd,
-}
-
-impl ExecutorKind {
-    /// `true` for the chunked/SIMD paths counted on
-    /// `fast_path_chunked_ops`.
-    #[must_use]
-    pub fn vectorized(self) -> bool {
-        matches!(self, Self::Chunked | Self::Simd)
-    }
-
-    /// Stable lower-case label for reports and logs.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Datapath => "datapath",
-            Self::Scalar => "scalar",
-            Self::Chunked => "chunked",
-            Self::Simd => "simd",
-        }
-    }
-}
-
-/// Which table executor an engine should serve its fast path with.
-///
-/// `Auto` picks the widest path the build carries: [`ExecutorKind::Simd`]
-/// when the `simd` feature is enabled, [`ExecutorKind::Chunked`]
-/// otherwise. Selecting `Simd` without the feature falls back to
-/// `Chunked` (the next-widest bit-identical path) instead of failing, so
-/// configs stay portable across feature combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorSelect {
-    /// Widest available vectorized path (the default).
-    #[default]
-    Auto,
-    Scalar,
-    Chunked,
-    Simd,
-}
-
-impl ExecutorSelect {
-    /// Resolves the selection against the compiled feature set. Never
-    /// returns [`ExecutorKind::Datapath`] — the datapath is the pool's
-    /// fallback when tables are absent, not a selectable table path.
-    #[must_use]
-    pub fn resolve(self) -> ExecutorKind {
-        let widest = if cfg!(feature = "simd") {
-            ExecutorKind::Simd
-        } else {
-            ExecutorKind::Chunked
-        };
-        match self {
-            Self::Auto => widest,
-            Self::Scalar => ExecutorKind::Scalar,
-            Self::Chunked => ExecutorKind::Chunked,
-            Self::Simd => {
-                if cfg!(feature = "simd") {
-                    ExecutorKind::Simd
-                } else {
-                    ExecutorKind::Chunked
-                }
-            }
-        }
-    }
-}
-
 /// Turns one batch of operands into the function's responses, in place.
 pub trait BatchExecutor {
-    /// The implementation this executor reports on metrics and reports.
-    fn kind(&self) -> ExecutorKind;
-
     /// Rewrites every element of `xs` with its response, bit-identical
-    /// to the golden datapath. Table-backed executors are infallible;
-    /// the datapath walk stops at the first detector event, leaving `xs`
+    /// to the golden datapath. The table gather is infallible; the
+    /// datapath walk stops at the first detector event, leaving `xs`
     /// partially rewritten — callers that need pristine operands for a
     /// retry execute on a copy, as the pool's datapath arm does.
     fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent>;
 }
 
-/// Issues a best-effort prefetch of `codes[index]` into all cache
-/// levels. A pure performance hint: it cannot fault and has no
-/// architecturally visible effect.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn prefetch(codes: &[i16], index: usize) {
-    debug_assert!(index < codes.len());
-    // SAFETY: `index` is masked in bounds by every caller, so the
-    // pointer stays inside the allocation, and prefetch itself performs
-    // no memory access the program can observe.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(codes.as_ptr().add(index).cast::<i8>(), _MM_HINT_T0);
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn prefetch(_codes: &[i16], _index: usize) {}
-
-/// The PR 5 fast path: one scalar masked lookup per operand.
+/// The fast path: one scalar masked lookup per operand.
 pub struct ScalarGather<'a> {
     table: &'a ResponseTable,
 }
@@ -162,141 +41,8 @@ impl<'a> ScalarGather<'a> {
 }
 
 impl BatchExecutor for ScalarGather<'_> {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Scalar
-    }
-
     fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
         self.table.lookup_in_place(xs);
-        Ok(())
-    }
-}
-
-/// Operands per [`ChunkedGather`] chunk. Wide enough that the index
-/// pass amortizes its loop overhead and the prefetches issued in it
-/// have begun resolving by the time the gather pass reads the entries.
-const CHUNK: usize = 32;
-
-/// Fixed-width two-pass gather: per chunk, a branch-free index loop
-/// (autovectorizable, prefetching each entry) followed by the gather
-/// and writeback, then a scalar tail for the remainder.
-pub struct ChunkedGather<'a> {
-    table: &'a ResponseTable,
-}
-
-impl<'a> ChunkedGather<'a> {
-    #[must_use]
-    pub fn new(table: &'a ResponseTable) -> Self {
-        Self { table }
-    }
-}
-
-impl BatchExecutor for ChunkedGather<'_> {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Chunked
-    }
-
-    fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
-        let codes = self.table.codes();
-        let mask = self.table.index_mask();
-        let format = self.table.format();
-        let min_raw = format.min_raw();
-        let mut chunks = xs.chunks_exact_mut(CHUNK);
-        for chunk in &mut chunks {
-            // Pass 1: pure index arithmetic, no table reads — the AND
-            // with the mask proves every index in bounds, so the gather
-            // below compiles without bounds checks.
-            let mut idx = [0usize; CHUNK];
-            for (slot, x) in idx.iter_mut().zip(chunk.iter()) {
-                debug_assert_eq!(x.format(), format);
-                *slot = (x.raw() - min_raw) as usize & mask;
-            }
-            for &i in &idx {
-                prefetch(codes, i);
-            }
-            // Pass 2: gather and writeback.
-            for (x, &i) in chunk.iter_mut().zip(idx.iter()) {
-                *x = Fx::from_raw_saturating(i64::from(codes[i]), format);
-            }
-        }
-        self.table.lookup_in_place(chunks.into_remainder());
-        Ok(())
-    }
-}
-
-/// Lanes per [`SimdGather`] group — the `u16x8` width of one SSE2
-/// vector of table codes.
-#[cfg(feature = "simd")]
-const LANES: usize = 8;
-
-/// Widened manual SIMD gather: index, gather and writeback each run as
-/// an eight-lane stage over lane arrays the backend maps onto SSE2
-/// vectors, software-pipelined so group `g + 1`'s entries are
-/// prefetched while group `g` gathers.
-#[cfg(feature = "simd")]
-pub struct SimdGather<'a> {
-    table: &'a ResponseTable,
-}
-
-#[cfg(feature = "simd")]
-impl<'a> SimdGather<'a> {
-    #[must_use]
-    pub fn new(table: &'a ResponseTable) -> Self {
-        Self { table }
-    }
-
-    /// Gathers one eight-lane group through an `i16x8` staging vector.
-    #[inline]
-    fn gather_group(&self, chunk: &mut [Fx], idx: &[usize; LANES]) {
-        let codes = self.table.codes();
-        let format = self.table.format();
-        let mut gathered = [0i16; LANES];
-        for (lane, &i) in gathered.iter_mut().zip(idx.iter()) {
-            *lane = codes[i];
-        }
-        for (x, &code) in chunk.iter_mut().zip(gathered.iter()) {
-            *x = Fx::from_raw_saturating(i64::from(code), format);
-        }
-    }
-}
-
-#[cfg(feature = "simd")]
-impl BatchExecutor for SimdGather<'_> {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Simd
-    }
-
-    fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
-        let codes = self.table.codes();
-        let mask = self.table.index_mask();
-        let min_raw = self.table.format().min_raw();
-        let lane_indices = |group: &[Fx]| {
-            let mut idx = [0usize; LANES];
-            for (slot, x) in idx.iter_mut().zip(group.iter()) {
-                *slot = (x.raw() - min_raw) as usize & mask;
-            }
-            for &i in &idx {
-                prefetch(codes, i);
-            }
-            idx
-        };
-        let whole = xs.len() / LANES * LANES;
-        let (groups, tail) = xs.split_at_mut(whole);
-        // Software pipeline: indices for the next group are computed
-        // (and their entries prefetched) before the previous group's
-        // gather consumes its own, giving each prefetch a full group of
-        // work to hide behind.
-        let mut pending: Option<(usize, [usize; LANES])> = None;
-        for start in (0..whole).step_by(LANES) {
-            let idx = lane_indices(&groups[start..start + LANES]);
-            if let Some((prev, prev_idx)) = pending.replace((start, idx)) {
-                self.gather_group(&mut groups[prev..prev + LANES], &prev_idx);
-            }
-        }
-        if let Some((prev, prev_idx)) = pending {
-            self.gather_group(&mut groups[prev..prev + LANES], &prev_idx);
-        }
-        self.table.lookup_in_place(tail);
         Ok(())
     }
 }
@@ -316,10 +62,6 @@ impl<'a> DatapathWalk<'a> {
 }
 
 impl BatchExecutor for DatapathWalk<'_> {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Datapath
-    }
-
     fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
         for x in xs {
             *x = self.unit.compute(self.function, *x)?;
@@ -328,55 +70,11 @@ impl BatchExecutor for DatapathWalk<'_> {
     }
 }
 
-/// The statically dispatched union of the table-backed executors, so
-/// the pool's hot loop pays no boxing or virtual call per batch.
-pub enum TableExecutor<'a> {
-    Scalar(ScalarGather<'a>),
-    Chunked(ChunkedGather<'a>),
-    #[cfg(feature = "simd")]
-    Simd(SimdGather<'a>),
-}
-
-/// Binds a resolved executor kind to one function's table.
-/// [`ExecutorKind::Datapath`] is not table-backed and maps to the
-/// chunked path (callers select the datapath by not having a table).
-#[must_use]
-pub fn table_executor(kind: ExecutorKind, table: &ResponseTable) -> TableExecutor<'_> {
-    match kind {
-        ExecutorKind::Scalar => TableExecutor::Scalar(ScalarGather::new(table)),
-        #[cfg(feature = "simd")]
-        ExecutorKind::Simd => TableExecutor::Simd(SimdGather::new(table)),
-        _ => TableExecutor::Chunked(ChunkedGather::new(table)),
-    }
-}
-
-impl BatchExecutor for TableExecutor<'_> {
-    fn kind(&self) -> ExecutorKind {
-        match self {
-            Self::Scalar(e) => e.kind(),
-            Self::Chunked(e) => e.kind(),
-            #[cfg(feature = "simd")]
-            Self::Simd(e) => e.kind(),
-        }
-    }
-
-    fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
-        match self {
-            Self::Scalar(e) => e.execute(xs),
-            Self::Chunked(e) => e.execute(xs),
-            #[cfg(feature = "simd")]
-            Self::Simd(e) => e.execute(xs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nacu::{Nacu, NacuConfig, ResponseTables};
     use nacu_fixed::Rounding;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
 
     fn fixture() -> (Nacu, ResponseTables) {
         let nacu = Nacu::new(NacuConfig::paper_16bit()).expect("paper config");
@@ -384,26 +82,25 @@ mod tests {
         (nacu, tables)
     }
 
-    fn all_codes(nacu: &Nacu) -> Vec<Fx> {
-        let fmt = nacu.config().format;
-        fmt.raw_codes()
-            .map(|raw| Fx::from_raw_saturating(raw, fmt))
-            .collect()
-    }
-
-    /// Runs `executor` over every input code of the paper's format and
-    /// checks each output against the scalar lookup AND the golden
-    /// datapath — the exhaustive bit-identity sweep the vectorized
-    /// paths are required to pass.
-    fn assert_exhaustively_bit_identical(make: impl Fn(&ResponseTable) -> TableExecutor<'_>) {
+    /// Runs the gather over every input code of the paper's format and
+    /// checks each output against the per-operand lookup AND the golden
+    /// datapath.
+    #[test]
+    fn scalar_gather_is_bit_identical_on_every_code() {
         let (nacu, tables) = fixture();
+        let fmt = nacu.config().format;
+        let inputs: Vec<Fx> = fmt
+            .raw_codes()
+            .map(|raw| Fx::from_raw_saturating(raw, fmt))
+            .collect();
         for function in [Function::Sigmoid, Function::Tanh, Function::Exp] {
             let table = tables.get(function).expect("unary");
-            let inputs = all_codes(&nacu);
             let mut batch = inputs.clone();
-            make(table).execute(&mut batch).expect("table path");
+            ScalarGather::new(table)
+                .execute(&mut batch)
+                .expect("table path");
             for (&x, &y) in inputs.iter().zip(batch.iter()) {
-                assert_eq!(y, table.lookup(x), "{function} vs scalar at {x}");
+                assert_eq!(y, table.lookup(x), "{function} vs lookup at {x}");
                 assert_eq!(
                     y,
                     nacu.compute(function, x),
@@ -414,27 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_gather_is_bit_identical_on_every_code() {
-        assert_exhaustively_bit_identical(|t| TableExecutor::Chunked(ChunkedGather::new(t)));
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn simd_gather_is_bit_identical_on_every_code() {
-        assert_exhaustively_bit_identical(|t| TableExecutor::Simd(SimdGather::new(t)));
-    }
-
-    #[test]
-    fn scalar_gather_is_bit_identical_on_every_code() {
-        assert_exhaustively_bit_identical(|t| TableExecutor::Scalar(ScalarGather::new(t)));
-    }
-
-    #[test]
-    fn datapath_walk_matches_the_golden_unit_and_reports_its_kind() {
+    fn datapath_walk_matches_the_golden_unit() {
         let (nacu, _) = fixture();
         let unit = CheckedNacu::new(*nacu.config()).expect("paper config");
         let walk = DatapathWalk::new(&unit, Function::Tanh);
-        assert_eq!(walk.kind(), ExecutorKind::Datapath);
         let fmt = nacu.config().format;
         let mut xs: Vec<Fx> = [-3.0, -0.5, 0.0, 0.75, 2.5]
             .iter()
@@ -444,49 +124,6 @@ mod tests {
         walk.execute(&mut xs).expect("no faults planned");
         for (&x, &y) in inputs.iter().zip(xs.iter()) {
             assert_eq!(y, nacu.compute(Function::Tanh, x));
-        }
-    }
-
-    #[test]
-    fn selection_resolves_to_the_widest_compiled_path() {
-        let widest = if cfg!(feature = "simd") {
-            ExecutorKind::Simd
-        } else {
-            ExecutorKind::Chunked
-        };
-        assert_eq!(ExecutorSelect::Auto.resolve(), widest);
-        assert_eq!(ExecutorSelect::Simd.resolve(), widest);
-        assert_eq!(ExecutorSelect::Scalar.resolve(), ExecutorKind::Scalar);
-        assert_eq!(ExecutorSelect::Chunked.resolve(), ExecutorKind::Chunked);
-        assert!(ExecutorKind::Chunked.vectorized());
-        assert!(ExecutorKind::Simd.vectorized());
-        assert!(!ExecutorKind::Scalar.vectorized());
-        assert!(!ExecutorKind::Datapath.vectorized());
-    }
-
-    proptest! {
-        /// Remainder-tail correctness: batches of every length —
-        /// including lengths that are not multiples of the chunk or lane
-        /// width, and the empty batch — agree with the scalar lookup for
-        /// every table-backed executor.
-        #[test]
-        fn every_executor_matches_scalar_on_any_batch_size(
-            values in vec(-8.0f64..8.0, 0..3 * CHUNK + 7),
-        ) {
-            let (nacu, tables) = fixture();
-            let fmt = nacu.config().format;
-            let table = tables.get(Function::Sigmoid).expect("unary");
-            let inputs: Vec<Fx> = values
-                .iter()
-                .map(|&v| Fx::from_f64(v, fmt, Rounding::Nearest))
-                .collect();
-            let expect: Vec<Fx> = inputs.iter().map(|&x| table.lookup(x)).collect();
-            for kind in [ExecutorKind::Scalar, ExecutorKind::Chunked, ExecutorKind::Simd] {
-                let mut batch = inputs.clone();
-                let executor = table_executor(kind, table);
-                executor.execute(&mut batch).expect("table path");
-                prop_assert_eq!(&batch, &expect, "{} diverged", executor.kind().name());
-            }
         }
     }
 }

@@ -71,7 +71,7 @@ use nacu_fixed::QFormat;
 use nacu_obs::Obs;
 
 pub use batch::{Request, RequestError, Response};
-pub use executor::{BatchExecutor, ExecutorKind, ExecutorSelect};
+pub use executor::BatchExecutor;
 pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use report::{LatencySummary, ThroughputReport, WindowLine, PAPER_CLOCK_HZ};
 pub use wake::{Completer, CompletionNotifier, CompletionSet, TicketFuture};
@@ -150,19 +150,6 @@ pub struct EngineConfig {
     /// the table budget (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits)
     /// and, per worker, only on slots with no injected fault plan.
     pub use_fast_path: bool,
-    /// Which [`executor::BatchExecutor`] serves table-backed unary
-    /// batches. [`ExecutorSelect::Auto`] (the default) resolves to the
-    /// widest vectorized path the build carries — the manual SIMD gather
-    /// under the `simd` cargo feature, the chunked gather otherwise.
-    pub executor: ExecutorSelect,
-    /// Give every worker its own deep copy of the response tables
-    /// instead of sharing one `Arc` allocation across cores. `None` (the
-    /// default) resolves to "on when `workers > 1`": replicas cost
-    /// table-size × workers bytes (384 KiB each at the paper's 16-bit
-    /// format) but keep each worker's gathers inside its own
-    /// cache-friendly allocation, free of any cross-core sharing of the
-    /// hot lines.
-    pub table_replicas: Option<bool>,
     /// Capacity (in in-flight records) of the trace recorder, 0 to run
     /// unrecorded (the default). With a capacity set, the engine taps its
     /// submit and reply paths into a bounded, drop-counted
@@ -200,8 +187,6 @@ impl EngineConfig {
             fault_tolerance: FaultTolerance::default(),
             health_sample_every: nacu_obs::DEFAULT_SAMPLE_EVERY,
             use_fast_path: true,
-            executor: ExecutorSelect::Auto,
-            table_replicas: None,
             record_capacity: 0,
             telemetry_interval: None,
             slos: Vec::new(),
@@ -254,22 +239,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_fast_path(mut self, enabled: bool) -> Self {
         self.use_fast_path = enabled;
-        self
-    }
-
-    /// Selects the table executor for the fast path (see
-    /// [`EngineConfig::executor`]).
-    #[must_use]
-    pub fn with_executor(mut self, executor: ExecutorSelect) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Forces per-worker table replicas on or off (see
-    /// [`EngineConfig::table_replicas`]).
-    #[must_use]
-    pub fn with_table_replicas(mut self, replicate: bool) -> Self {
-        self.table_replicas = Some(replicate);
         self
     }
 
@@ -845,8 +814,6 @@ impl Engine {
             obs: Arc::clone(&obs),
             health: Arc::clone(&health),
             tables,
-            executor: config.executor.resolve(),
-            replicate_tables: config.table_replicas.unwrap_or(workers > 1),
             recorder: recorder.clone(),
         });
         let handles = pool::spawn_workers(&pool_shared);
@@ -1116,50 +1083,7 @@ mod tests {
             let sequential: Vec<Fx> = xs.iter().map(|&x| nacu.compute(function, x)).collect();
             assert_eq!(response.outputs, sequential, "{function}");
         }
-    }
-
-    /// Every executor selection and both table-replica settings serve
-    /// bit-identical results, and vectorized selections are visible in
-    /// the `fast_path_chunked_ops` counter.
-    #[test]
-    fn executor_and_replica_knobs_serve_bit_identical_results() {
-        let nacu = Nacu::new(NacuConfig::paper_16bit()).unwrap();
-        for select in [
-            ExecutorSelect::Auto,
-            ExecutorSelect::Scalar,
-            ExecutorSelect::Chunked,
-            ExecutorSelect::Simd,
-        ] {
-            for replicas in [false, true] {
-                let engine = Engine::new(
-                    EngineConfig::new(NacuConfig::paper_16bit())
-                        .with_workers(2)
-                        .with_queue_capacity(64)
-                        .with_executor(select)
-                        .with_table_replicas(replicas),
-                )
-                .expect("paper config");
-                let xs = operands(engine.format(), 37);
-                for function in [Function::Sigmoid, Function::Tanh, Function::Exp] {
-                    let response = engine
-                        .submit(Request::new(function, xs.clone()))
-                        .unwrap()
-                        .wait()
-                        .unwrap();
-                    let sequential: Vec<Fx> =
-                        xs.iter().map(|&x| nacu.compute(function, x)).collect();
-                    assert_eq!(response.outputs, sequential, "{select:?} {function}");
-                }
-                let m = engine.metrics();
-                assert_eq!(m.fast_path_ops, 3 * 37, "{select:?}");
-                let expect_chunked = if select.resolve().vectorized() {
-                    3 * 37
-                } else {
-                    0
-                };
-                assert_eq!(m.fast_path_chunked_ops, expect_chunked, "{select:?}");
-            }
-        }
+        assert_eq!(engine.metrics().fast_path_ops, 3 * 40);
     }
 
     #[test]

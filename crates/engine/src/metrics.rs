@@ -32,7 +32,6 @@ pub struct EngineMetrics {
     requests_failed: AtomicU64,
     drift_alarms: AtomicU64,
     fast_path_ops: AtomicU64,
-    fast_path_chunked_ops: AtomicU64,
     net_connections_accepted: AtomicU64,
     net_connections_rejected: AtomicU64,
     net_frames_in: AtomicU64,
@@ -99,12 +98,6 @@ impl EngineMetrics {
     /// datapath (always also counted in the per-function op counters).
     pub(crate) fn record_fast_path_ops(&self, ops: u64) {
         self.fast_path_ops.fetch_add(ops, Ordering::Relaxed);
-    }
-
-    /// `ops` operands served by a vectorized table executor (the chunked
-    /// or SIMD gather — a subset of [`Self::record_fast_path_ops`]).
-    pub(crate) fn record_fast_path_chunked_ops(&self, ops: u64) {
-        self.fast_path_chunked_ops.fetch_add(ops, Ordering::Relaxed);
     }
 
     // The `net_*` recorders are `pub`, not `pub(crate)`: the wire
@@ -253,7 +246,6 @@ impl EngineMetrics {
             requests_failed: self.requests_failed.load(Ordering::Relaxed),
             drift_alarms: self.drift_alarms.load(Ordering::Relaxed),
             fast_path_ops: self.fast_path_ops.load(Ordering::Relaxed),
-            fast_path_chunked_ops: self.fast_path_chunked_ops.load(Ordering::Relaxed),
             net_connections_accepted: self.net_connections_accepted.load(Ordering::Relaxed),
             net_connections_rejected: self.net_connections_rejected.load(Ordering::Relaxed),
             net_frames_in: self.net_frames_in.load(Ordering::Relaxed),
@@ -318,10 +310,6 @@ pub struct MetricsSnapshot {
     /// datapath — fast path disabled, format too wide, or fault plans
     /// forcing the fallback).
     pub fast_path_ops: u64,
-    /// Operands served by a *vectorized* table executor — the chunked or
-    /// SIMD gather (a subset of [`Self::fast_path_ops`]; 0 with the
-    /// scalar executor selected, or whenever the fast path is off).
-    pub fast_path_chunked_ops: u64,
     /// TCP connections accepted by the network front-end.
     pub net_connections_accepted: u64,
     /// TCP connections turned away at accept (connection limit).
@@ -397,10 +385,6 @@ impl MetricsSnapshot {
             ("nacu_engine_requests_failed_total", self.requests_failed),
             ("nacu_engine_drift_alarms_total", self.drift_alarms),
             ("nacu_engine_fast_path_ops_total", self.fast_path_ops),
-            (
-                "nacu_engine_fast_path_chunked_ops_total",
-                self.fast_path_chunked_ops,
-            ),
             (
                 "nacu_net_connections_accepted_total",
                 self.net_connections_accepted,
@@ -487,9 +471,6 @@ impl MetricsSnapshot {
             requests_failed: self.requests_failed.saturating_sub(earlier.requests_failed),
             drift_alarms: self.drift_alarms.saturating_sub(earlier.drift_alarms),
             fast_path_ops: self.fast_path_ops.saturating_sub(earlier.fast_path_ops),
-            fast_path_chunked_ops: self
-                .fast_path_chunked_ops
-                .saturating_sub(earlier.fast_path_chunked_ops),
             net_connections_accepted: self
                 .net_connections_accepted
                 .saturating_sub(earlier.net_connections_accepted),
@@ -588,14 +569,14 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.drift_alarms, 1);
         let counters = s.exporter_counters();
-        assert_eq!(counters.len(), 30);
+        assert_eq!(counters.len(), 29);
         assert!(counters
             .iter()
             .any(|&(n, v)| n == "nacu_engine_drift_alarms_total" && v == 1));
         let mut names: Vec<&str> = counters.iter().map(|&(n, _)| n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 30, "exporter names are unique");
+        assert_eq!(names.len(), 29, "exporter names are unique");
     }
 
     #[test]
@@ -713,24 +694,6 @@ mod tests {
             .any(|&(n, v)| n == "nacu_engine_fast_path_ops_total" && v == 80));
         let d = s.since(&MetricsSnapshot::default());
         assert_eq!(d.fast_path_ops, 80);
-    }
-
-    #[test]
-    fn fast_path_chunked_ops_accumulate_diff_and_export() {
-        let m = EngineMetrics::new();
-        m.record_fast_path_ops(64);
-        m.record_fast_path_chunked_ops(64);
-        let early = m.snapshot();
-        m.record_fast_path_chunked_ops(8);
-        let s = m.snapshot();
-        assert_eq!(s.fast_path_chunked_ops, 72);
-        assert!(s
-            .exporter_counters()
-            .iter()
-            .any(|&(n, v)| n == "nacu_engine_fast_path_chunked_ops_total" && v == 72));
-        let d = s.since(&early);
-        assert_eq!(d.fast_path_chunked_ops, 8);
-        assert_eq!(d.fast_path_ops, 0);
     }
 
     #[test]

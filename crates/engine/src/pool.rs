@@ -37,7 +37,7 @@ use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
 
 use crate::batch::{scalar_function, Request, RequestError, Response};
-use crate::executor::{table_executor, BatchExecutor, DatapathWalk, ExecutorKind};
+use crate::executor::{BatchExecutor, DatapathWalk, ScalarGather};
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Coalesce, PushError};
 use crate::report::{modeled_batch_cycles, modeled_checked_batch_cycles};
@@ -93,12 +93,6 @@ pub(crate) struct PoolShared {
     /// the format is too wide to tabulate. Workers with a non-empty
     /// fault plan ignore them (see [`run_worker`]).
     pub(crate) tables: Option<Arc<ResponseTables>>,
-    /// Resolved table executor every worker serves its fast path with
-    /// (see [`crate::ExecutorSelect::resolve`]).
-    pub(crate) executor: ExecutorKind,
-    /// Give each worker an owned deep copy of the tables instead of a
-    /// borrow of the shared `Arc` allocation.
-    pub(crate) replicate_tables: bool,
     /// Trace recorder workers complete reply halves into, `None` when
     /// the engine runs unrecorded.
     pub(crate) recorder: Option<Arc<Recorder>>,
@@ -144,17 +138,8 @@ fn run_worker(worker: usize, shared: &PoolShared) {
     // injected fault plan must walk the real datapath so the parity /
     // residue detectors see real nets — its tables are simply withheld.
     // (The scrub below always walks the real ROM regardless.)
-    let fast_path_eligible = shared.fault.plan_for(worker).is_empty();
-    // With replication on, the worker gathers from its own deep copy of
-    // the tables — same bytes (Clone of datapath-built contents), but an
-    // allocation no other core ever touches.
-    let replica: Option<ResponseTables> = if fast_path_eligible && shared.replicate_tables {
-        shared.tables.as_deref().cloned()
-    } else {
-        None
-    };
-    let tables = if fast_path_eligible {
-        replica.as_ref().or(shared.tables.as_deref())
+    let tables = if shared.fault.plan_for(worker).is_empty() {
+        shared.tables.as_deref()
     } else {
         None
     };
@@ -267,8 +252,8 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
 /// the batch's still-unanswered jobs so the caller can re-route them —
 /// partial results from the flagged unit are discarded, never sent.
 ///
-/// When `tables` is given, σ/tanh/exp are served through the pool's
-/// configured table [`BatchExecutor`] — bit-identical by construction
+/// When `tables` is given, σ/tanh/exp are served through the
+/// [`ScalarGather`] table executor — bit-identical by construction
 /// (the tables were built by the golden datapath) and infallible, so
 /// outputs overwrite the request's operand buffer in place and the
 /// buffer itself becomes the response: the fast path allocates nothing
@@ -374,19 +359,16 @@ fn serve_batch(
         // one fresh buffer per job (kept fresh so retries see pristine
         // operands after a mid-batch detector event).
         let outputs_per_job = if let Some(table) = tables.and_then(|t| t.get(function)) {
-            // Fast path: the configured table executor rewrites each
-            // operand buffer in place. Infallible — the table carries
-            // the golden datapath's own answers.
-            let gather = table_executor(shared.executor, table);
+            // Fast path: the table gather rewrites each operand buffer
+            // in place. Infallible — the table carries the golden
+            // datapath's own answers.
+            let gather = ScalarGather::new(table);
             for job in live.iter_mut() {
                 gather
                     .execute(&mut job.request.operands)
-                    .expect("table executors are infallible");
+                    .expect("the table gather is infallible");
             }
             metrics.record_fast_path_ops(batch_ops as u64);
-            if gather.kind().vectorized() {
-                metrics.record_fast_path_chunked_ops(batch_ops as u64);
-            }
             None
         } else {
             // Datapath walk through the worker's checked unit, into a
@@ -590,8 +572,6 @@ mod tests {
             obs: Arc::new(Obs::with_trace_capacity(64)),
             health: Arc::new((0..slots).map(|_| AtomicBool::new(true)).collect()),
             tables: None,
-            executor: crate::ExecutorSelect::Auto.resolve(),
-            replicate_tables: false,
             recorder: None,
         })
     }
@@ -637,46 +617,32 @@ mod tests {
 
     /// The fast path answers from the tables, bit-identical to the
     /// datapath, and the served operands are counted on the dedicated
-    /// counter alongside the per-function one — for every table
-    /// executor the pool can be configured with. Vectorized executors
-    /// additionally land on the chunked-ops counter; the scalar one
-    /// does not.
+    /// counter alongside the per-function one.
     #[test]
     fn fast_path_serves_bit_identical_outputs_and_counts_ops() {
-        use crate::ExecutorSelect;
-        for select in [
-            ExecutorSelect::Auto,
-            ExecutorSelect::Scalar,
-            ExecutorSelect::Chunked,
-            ExecutorSelect::Simd,
-        ] {
-            let mut s = shared(Vec::new(), 1);
-            Arc::get_mut(&mut s).expect("sole owner").executor = select.resolve();
-            let unit = CheckedNacu::new(s.config).expect("paper config");
-            let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
-            let (a, a_rx) = job(&s, 0.25);
-            let (b, b_rx) = job(&s, -1.5);
-            serve(0, &unit, Some(&tables), vec![a, b], &s).expect("infallible fast path");
-            let fmt = s.config.format;
-            let expect = |v: f64| {
-                unit.golden()
-                    .sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest))
-            };
-            let a_out = a_rx.try_wait().expect("reply").expect("served");
-            let b_out = b_rx.try_wait().expect("reply").expect("served");
-            assert_eq!(a_out.outputs, vec![expect(0.25)], "{select:?}");
-            assert_eq!(b_out.outputs, vec![expect(-1.5)], "{select:?}");
-            let m = s.metrics.snapshot();
-            assert_eq!(m.fast_path_ops, 2, "{select:?}");
-            let expected_chunked = if select.resolve().vectorized() { 2 } else { 0 };
-            assert_eq!(m.fast_path_chunked_ops, expected_chunked, "{select:?}");
-            assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
-            assert_eq!(
-                m.modeled_cycles,
-                modeled_batch_cycles(Function::Sigmoid, 2),
-                "Table I accounting models the hardware, not the software path"
-            );
-        }
+        let s = shared(Vec::new(), 1);
+        let unit = CheckedNacu::new(s.config).expect("paper config");
+        let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
+        let (a, a_rx) = job(&s, 0.25);
+        let (b, b_rx) = job(&s, -1.5);
+        serve(0, &unit, Some(&tables), vec![a, b], &s).expect("infallible fast path");
+        let fmt = s.config.format;
+        let expect = |v: f64| {
+            unit.golden()
+                .sigmoid(Fx::from_f64(v, fmt, Rounding::Nearest))
+        };
+        let a_out = a_rx.try_wait().expect("reply").expect("served");
+        let b_out = b_rx.try_wait().expect("reply").expect("served");
+        assert_eq!(a_out.outputs, vec![expect(0.25)]);
+        assert_eq!(b_out.outputs, vec![expect(-1.5)]);
+        let m = s.metrics.snapshot();
+        assert_eq!(m.fast_path_ops, 2);
+        assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
+        assert_eq!(
+            m.modeled_cycles,
+            modeled_batch_cycles(Function::Sigmoid, 2),
+            "Table I accounting models the hardware, not the software path"
+        );
     }
 
     /// Softmax on the fast path: the exp stage comes from the table, the
@@ -708,10 +674,6 @@ mod tests {
         );
         let m = s.metrics.snapshot();
         assert_eq!(m.fast_path_ops, xs.len() as u64);
-        assert_eq!(
-            m.fast_path_chunked_ops, 0,
-            "softmax's scalar exp stage is not a vectorized gather"
-        );
     }
 
     /// Deterministic unit test of the retry path: a faulted worker's
@@ -842,8 +804,6 @@ mod tests {
             ),
             health: Arc::new(vec![AtomicBool::new(true)]),
             tables: None,
-            executor: crate::ExecutorSelect::Auto.resolve(),
-            replicate_tables: false,
             recorder: None,
         });
         let unit = CheckedNacu::new(s.config)

@@ -43,16 +43,6 @@ stage tier1-test cargo test -q --offline
 stage workspace cargo test --workspace --release -q --offline
 stage clippy cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# The manual-SIMD gather is off by default, so the default workspace
-# passes never compile it. Prove the simd feature combination still
-# lints clean and stays exhaustively bit-identical to the scalar path.
-stage simd-clippy cargo clippy --offline -p nacu-engine -p nacu-bench --all-targets \
-    --features simd -- -D warnings
-stage simd-test cargo test --release --offline -p nacu-engine --features simd -q \
-    --lib executor
-stage simd-sweep cargo test --release --offline -p nacu-engine --features simd -q \
-    --test bit_identical --test quarantine
-
 # Observability smoke: shadow-sampling overhead gate, a live /metrics
 # scrape over a real TCP socket, and the injected-drift /health demo.
 # The scrape artifacts land next to the stage logs.
