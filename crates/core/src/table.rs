@@ -24,7 +24,7 @@
 //! ([`ResponseTables::build`] returns `None`) and callers fall back to
 //! the datapath.
 
-use nacu_fixed::{Fx, QFormat};
+use nacu_fixed::{Fx, QFormat, RawCode};
 
 use crate::config::Function;
 use crate::datapath::Nacu;
@@ -121,31 +121,19 @@ impl ResponseTable {
         self.codes.len() - 1
     }
 
-    /// [`Self::lookup`] without the release-mode format assert, for hot
-    /// batch loops whose inputs were already validated upstream (the
-    /// serving engine checks every operand's format at submit). The index
-    /// is masked, so even a format-confused caller reads a wrong-but-
-    /// in-bounds entry rather than panicking mid-batch.
-    #[must_use]
-    #[inline]
-    pub fn lookup_fast(&self, x: Fx) -> Fx {
-        debug_assert_eq!(
-            x.format(),
-            self.format,
-            "input format {} does not match the tabulated {}",
-            x.format(),
-            self.format
-        );
-        let index = (x.raw() - self.format.min_raw()) as usize & self.index_mask();
-        Fx::from_raw_saturating(i64::from(self.codes[index]), self.format)
-    }
-
     /// Rewrites every element of `xs` with its table response, in place:
-    /// the batch gather `nacu-engine`'s fast path serves from.
+    /// the batch gather `nacu-engine`'s fast path serves from. `xs` may
+    /// be [`Fx`] values or bare `i64` codes of a batch whose format was
+    /// validated once upstream; either way each element is one masked
+    /// index and one code written back — no per-operand format check and
+    /// no saturating clamp, since a table entry always fits the format.
     #[inline]
-    pub fn lookup_in_place(&self, xs: &mut [Fx]) {
+    pub fn lookup_in_place<T: RawCode>(&self, xs: &mut [T]) {
+        let min_raw = self.format.min_raw();
+        let mask = self.index_mask();
         for x in xs {
-            *x = self.lookup_fast(*x);
+            let index = x.code().wrapping_sub(min_raw) as usize & mask;
+            *x = x.with_code(i64::from(self.codes[index]));
         }
     }
 }
@@ -282,10 +270,11 @@ mod tests {
         assert_eq!(golden, fast);
     }
 
-    /// The masked fast lookup and the in-place batch gather agree with
-    /// the asserting scalar lookup on every code of the paper's format.
+    /// The in-place batch gather, over `Fx` values and over bare codes,
+    /// agrees with the asserting scalar lookup
+    /// on every code of the paper's format.
     #[test]
-    fn fast_and_in_place_lookups_match_the_checked_lookup_exhaustively() {
+    fn in_place_lookups_match_the_checked_lookup_exhaustively() {
         let (nacu, tables) = tables_for(NacuConfig::paper_16bit());
         let fmt = nacu.config().format;
         for function in [Function::Sigmoid, Function::Tanh, Function::Exp] {
@@ -295,12 +284,12 @@ mod tests {
                 .raw_codes()
                 .map(|raw| Fx::from_raw_saturating(raw, fmt))
                 .collect();
-            for &x in &batch {
-                assert_eq!(table.lookup_fast(x), table.lookup(x));
-            }
             let expect: Vec<Fx> = batch.iter().map(|&x| table.lookup(x)).collect();
+            let mut codes: Vec<i64> = batch.iter().map(|x| x.raw()).collect();
             table.lookup_in_place(&mut batch);
             assert_eq!(batch, expect);
+            table.lookup_in_place(&mut codes);
+            assert!(codes.iter().copied().eq(expect.iter().map(|y| y.raw())));
         }
     }
 

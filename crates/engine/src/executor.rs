@@ -16,16 +16,18 @@
 
 use nacu::{Function, ResponseTable};
 use nacu_faults::{CheckedNacu, FaultEvent};
-use nacu_fixed::Fx;
+use nacu_fixed::{Fx, RawCode};
 
 /// Turns one batch of operands into the function's responses, in place.
 pub trait BatchExecutor {
     /// Rewrites every element of `xs` with its response, bit-identical
-    /// to the golden datapath. The table gather is infallible; the
+    /// to the golden datapath. `xs` holds either [`Fx`] values or the
+    /// bare `i64` codes of a [`crate::Codes`] batch, all in the format
+    /// the executor was built for. The table gather is infallible; the
     /// datapath walk stops at the first detector event, leaving `xs`
     /// partially rewritten — callers that need pristine operands for a
     /// retry execute on a copy, as the pool's datapath arm does.
-    fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent>;
+    fn execute<T: RawCode>(&self, xs: &mut [T]) -> Result<(), FaultEvent>;
 }
 
 /// The fast path: one scalar masked lookup per operand.
@@ -41,7 +43,7 @@ impl<'a> ScalarGather<'a> {
 }
 
 impl BatchExecutor for ScalarGather<'_> {
-    fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
+    fn execute<T: RawCode>(&self, xs: &mut [T]) -> Result<(), FaultEvent> {
         self.table.lookup_in_place(xs);
         Ok(())
     }
@@ -62,9 +64,16 @@ impl<'a> DatapathWalk<'a> {
 }
 
 impl BatchExecutor for DatapathWalk<'_> {
-    fn execute(&self, xs: &mut [Fx]) -> Result<(), FaultEvent> {
+    /// Rebuilds each operand as an [`Fx`] in the unit's format (saturating,
+    /// so a code that does not fit is clamped rather than walked), runs
+    /// it through the datapath and writes the output code back.
+    fn execute<T: RawCode>(&self, xs: &mut [T]) -> Result<(), FaultEvent> {
+        let format = self.unit.config().format;
         for x in xs {
-            *x = self.unit.compute(self.function, *x)?;
+            let y = self
+                .unit
+                .compute(self.function, Fx::from_raw_saturating(x.code(), format))?;
+            *x = x.with_code(y.raw());
         }
         Ok(())
     }
@@ -82,9 +91,9 @@ mod tests {
         (nacu, tables)
     }
 
-    /// Runs the gather over every input code of the paper's format and
-    /// checks each output against the per-operand lookup AND the golden
-    /// datapath.
+    /// Runs the gather over every input code of the paper's format, as
+    /// `Fx` values and as bare codes, and checks each output against the
+    /// per-operand lookup AND the golden datapath.
     #[test]
     fn scalar_gather_is_bit_identical_on_every_code() {
         let (nacu, tables) = fixture();
@@ -96,16 +105,18 @@ mod tests {
         for function in [Function::Sigmoid, Function::Tanh, Function::Exp] {
             let table = tables.get(function).expect("unary");
             let mut batch = inputs.clone();
-            ScalarGather::new(table)
-                .execute(&mut batch)
-                .expect("table path");
-            for (&x, &y) in inputs.iter().zip(batch.iter()) {
+            let mut codes: Vec<i64> = inputs.iter().map(|x| x.raw()).collect();
+            let gather = ScalarGather::new(table);
+            gather.execute(&mut batch).expect("table path");
+            gather.execute(&mut codes).expect("table path");
+            for ((&x, &y), &code) in inputs.iter().zip(batch.iter()).zip(codes.iter()) {
                 assert_eq!(y, table.lookup(x), "{function} vs lookup at {x}");
                 assert_eq!(
                     y,
                     nacu.compute(function, x),
                     "{function} vs datapath at {x}"
                 );
+                assert_eq!(code, y.raw(), "{function} bare code at {x}");
             }
         }
     }
@@ -121,9 +132,12 @@ mod tests {
             .map(|&v| Fx::from_f64(v, fmt, Rounding::Nearest))
             .collect();
         let inputs = xs.clone();
+        let mut codes: Vec<i64> = inputs.iter().map(|x| x.raw()).collect();
         walk.execute(&mut xs).expect("no faults planned");
-        for (&x, &y) in inputs.iter().zip(xs.iter()) {
+        walk.execute(&mut codes).expect("no faults planned");
+        for ((&x, &y), &code) in inputs.iter().zip(xs.iter()).zip(codes.iter()) {
             assert_eq!(y, nacu.compute(Function::Tanh, x));
+            assert_eq!(code, y.raw());
         }
     }
 }

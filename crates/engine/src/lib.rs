@@ -70,7 +70,7 @@ use nacu::{Function, Nacu, NacuConfig, NacuError, ResponseTables};
 use nacu_fixed::QFormat;
 use nacu_obs::Obs;
 
-pub use batch::{Request, RequestError, Response};
+pub use batch::{Codes, Request, RequestError, Response};
 pub use executor::BatchExecutor;
 pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use report::{LatencySummary, ThroughputReport, WindowLine, PAPER_CLOCK_HZ};
@@ -513,13 +513,11 @@ impl EngineHandle {
         if request.operands.is_empty() {
             return Err(SubmitError::Invalid(InvalidRequest::EmptyOperands));
         }
-        for x in &request.operands {
-            if x.format() != self.shared.format {
-                return Err(SubmitError::Invalid(InvalidRequest::FormatMismatch {
-                    expected: self.shared.format,
-                    got: x.format(),
-                }));
-            }
+        if let Some(got) = request.format_mismatch(self.shared.format) {
+            return Err(SubmitError::Invalid(InvalidRequest::FormatMismatch {
+                expected: self.shared.format,
+                got,
+            }));
         }
         if request.deadline.is_none() {
             request.deadline = self.shared.default_deadline.map(|d| Instant::now() + d);
@@ -543,7 +541,7 @@ impl EngineHandle {
                     function,
                     deadline_micros,
                     conn,
-                    request.operands.iter().map(|x| x.raw() as i16),
+                    request.operands.raw.iter().map(|&code| code as i16),
                 );
                 if slot == NO_RECORD_SLOT {
                     self.shared.metrics.record_replay_record_dropped();
@@ -1081,7 +1079,8 @@ mod tests {
                 .wait()
                 .unwrap();
             let sequential: Vec<Fx> = xs.iter().map(|&x| nacu.compute(function, x)).collect();
-            assert_eq!(response.outputs, sequential, "{function}");
+            let outputs: Vec<Fx> = response.outputs.iter().collect();
+            assert_eq!(outputs, sequential, "{function}");
         }
         assert_eq!(engine.metrics().fast_path_ops, 3 * 40);
     }
@@ -1096,7 +1095,8 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(response.outputs, nacu.softmax(&xs).unwrap());
+        let outputs: Vec<Fx> = response.outputs.iter().collect();
+        assert_eq!(outputs, nacu.softmax(&xs).unwrap());
     }
 
     #[test]
@@ -1111,11 +1111,20 @@ mod tests {
             engine.submit(Request::new(Function::Sigmoid, Vec::new())),
             Err(SubmitError::Invalid(InvalidRequest::EmptyOperands))
         ));
-        let alien = Fx::zero(QFormat::new(3, 8).unwrap());
-        assert!(matches!(
-            engine.submit(Request::new(Function::Sigmoid, vec![alien])),
-            Err(SubmitError::Invalid(InvalidRequest::FormatMismatch { .. }))
-        ));
+        let alien_format = QFormat::new(3, 8).unwrap();
+        let alien = Fx::zero(alien_format);
+        let native = Fx::zero(fmt);
+        let mismatch: Result<(), SubmitError> =
+            Err(SubmitError::Invalid(InvalidRequest::FormatMismatch {
+                expected: fmt,
+                got: alien_format,
+            }));
+        // Alien in every operand, engine format first then alien, and
+        // alien first then engine format: each names the alien format.
+        for operands in [vec![alien], vec![native, alien], vec![alien, native]] {
+            let refused = engine.submit(Request::new(Function::Sigmoid, operands));
+            assert_eq!(refused.map(|_| ()), mismatch);
+        }
     }
 
     #[test]

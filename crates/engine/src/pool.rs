@@ -33,10 +33,11 @@ use std::time::Instant;
 
 use nacu::{NacuConfig, ResponseTables};
 use nacu_faults::{CheckedError, CheckedNacu, FaultEvent};
+use nacu_fixed::Fx;
 use nacu_obs::{Obs, Stage, TraceKind};
 use nacu_replay::Recorder;
 
-use crate::batch::{scalar_function, Request, RequestError, Response};
+use crate::batch::{scalar_function, Codes, Request, RequestError, Response};
 use crate::executor::{BatchExecutor, DatapathWalk, ScalarGather};
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Coalesce, PushError};
@@ -99,9 +100,9 @@ pub(crate) struct PoolShared {
 }
 
 /// Completes a served job's trace record with its response codes.
-fn record_reply(shared: &PoolShared, slot: u32, outputs: &[nacu_fixed::Fx]) {
+fn record_reply(shared: &PoolShared, slot: u32, outputs: &Codes) {
     if let Some(recorder) = &shared.recorder {
-        if recorder.complete(slot, outputs.iter().map(|y| y.raw() as i16)) {
+        if recorder.complete(slot, outputs.raw.iter().map(|&code| code as i16)) {
             shared.metrics.record_replay_record_captured();
         }
     }
@@ -337,6 +338,8 @@ fn serve_batch(
         let sample_stride = (batch_ops as u64)
             .checked_div(sample_quota)
             .map_or(0, |s| s.max(1));
+        // Codes become f64 exactly as `Fx::to_f64` would convert them.
+        let resolution = shared.config.format.resolution();
         samples.clear();
         if sample_quota > 0 {
             let mut next: u64 = 0;
@@ -345,7 +348,8 @@ fn serve_batch(
                 let len = job.request.operands.len() as u64;
                 while next < base + len {
                     let operand = (next - base) as usize;
-                    samples.push((job_index, operand, job.request.operands[operand].to_f64()));
+                    let x = job.request.operands.raw[operand] as f64 * resolution;
+                    samples.push((job_index, operand, x));
                     if samples.len() as u64 >= sample_quota {
                         break 'plan;
                     }
@@ -365,7 +369,7 @@ fn serve_batch(
             let gather = ScalarGather::new(table);
             for job in live.iter_mut() {
                 gather
-                    .execute(&mut job.request.operands)
+                    .execute(&mut job.request.operands.raw)
                     .expect("the table gather is infallible");
             }
             metrics.record_fast_path_ops(batch_ops as u64);
@@ -380,7 +384,7 @@ fn serve_batch(
             let mut fault = None;
             for job in live.iter() {
                 let mut outputs = job.request.operands.clone();
-                match walk.execute(&mut outputs) {
+                match walk.execute(&mut outputs.raw) {
                     Ok(()) => per_job.push(outputs),
                     Err(event) => {
                         fault = Some(event);
@@ -397,10 +401,10 @@ fn serve_batch(
         // reference, reading y from wherever the outputs landed.
         for &(job_index, operand, x) in samples.iter() {
             let y = match &outputs_per_job {
-                None => live[job_index].request.operands[operand],
-                Some(per_job) => per_job[job_index][operand],
+                None => live[job_index].request.operands.raw[operand],
+                Some(per_job) => per_job[job_index].raw[operand],
             };
-            if let Some(alarm) = health.observe(function, x, y.to_f64()) {
+            if let Some(alarm) = health.observe(function, x, y as f64 * resolution) {
                 metrics.record_drift_alarm();
                 obs.record_trace(TraceKind::DriftAlarm {
                     worker: worker as u32,
@@ -425,7 +429,7 @@ fn serve_batch(
             service_ns,
         });
         metrics.record_batch(function, live.len() as u64, batch_ops as u64, batch_cycles);
-        let reply = |mut job: Job, outputs: Vec<nacu_fixed::Fx>| {
+        let reply = |mut job: Job, outputs: Codes| {
             record_reply(shared, job.record, &outputs);
             let e2e_ns = as_ns(job.submitted_at.elapsed());
             // Tagged so a tail-bucket request leaves an exemplar carrying
@@ -481,6 +485,17 @@ fn serve_batch(
                 ops: n as u32,
             });
             let service_start = Instant::now();
+            // The vector datapath takes `Fx` values: rebuild the one
+            // vector from its codes, clamped like the datapath walk's
+            // operands so a code outside the format is never walked.
+            let format = job.request.operands.format;
+            let vector: Vec<_> = job
+                .request
+                .operands
+                .raw
+                .iter()
+                .map(|&code| Fx::from_raw_saturating(code, format))
+                .collect();
             let outputs = if let Some(table) = exp_table {
                 // Table-served exp stage feeding the unchanged divider
                 // passes — bit-identical because the post-exp work-format
@@ -488,12 +503,12 @@ fn serve_batch(
                 // golden unit has no detectors to trip.
                 let outputs = unit
                     .golden()
-                    .softmax_with(&job.request.operands, |x| table.lookup(x))
+                    .softmax_with(&vector, |x| table.lookup(x))
                     .expect("submit validated the vector");
                 metrics.record_fast_path_ops(n as u64);
                 outputs
             } else {
-                match unit.softmax(&job.request.operands) {
+                match unit.softmax(&vector) {
                     Ok(outputs) => outputs,
                     Err(CheckedError::Fault(event)) => {
                         return Err((event, live.drain(index..).collect()));
@@ -519,7 +534,13 @@ fn serve_batch(
                 service_ns,
             });
             metrics.record_batch(function, 1, n as u64, batch_cycles);
-            record_reply(shared, job.record, &outputs);
+            // The request's code buffer becomes the response: the outputs
+            // share the operands' format (§III), so only codes change.
+            let mut codes = std::mem::take(&mut job.request.operands);
+            for (code, y) in codes.raw.iter_mut().zip(&outputs) {
+                *code = y.raw();
+            }
+            record_reply(shared, job.record, &codes);
             let e2e_ns = as_ns(job.submitted_at.elapsed());
             // Tagged so a tail-bucket request leaves an exemplar carrying
             // its request id and connection.
@@ -538,7 +559,7 @@ fn serve_batch(
                 e2e_ns,
             });
             job.reply.complete(Ok(Response {
-                outputs,
+                outputs: codes,
                 worker,
                 batch_ops: n,
                 batch_cycles,
@@ -555,7 +576,7 @@ mod tests {
     use super::*;
     use nacu::Function;
     use nacu_faults::{DetectorSet, Fault, FaultPlan, InjectionSite};
-    use nacu_fixed::{Fx, Rounding};
+    use nacu_fixed::Rounding;
 
     fn shared(plans: Vec<FaultPlan>, slots: usize) -> Arc<PoolShared> {
         Arc::new(PoolShared {
@@ -597,10 +618,7 @@ mod tests {
         (
             Job {
                 id: 0,
-                request: Request::new(
-                    Function::Sigmoid,
-                    vec![Fx::from_f64(v, fmt, Rounding::Nearest)],
-                ),
+                request: Request::new(Function::Sigmoid, [Fx::from_f64(v, fmt, Rounding::Nearest)]),
                 reply,
                 retries: 0,
                 submitted_at: Instant::now(),
@@ -633,8 +651,8 @@ mod tests {
         };
         let a_out = a_rx.try_wait().expect("reply").expect("served");
         let b_out = b_rx.try_wait().expect("reply").expect("served");
-        assert_eq!(a_out.outputs, vec![expect(0.25)]);
-        assert_eq!(b_out.outputs, vec![expect(-1.5)]);
+        assert!(a_out.outputs.iter().eq([expect(0.25)]));
+        assert!(b_out.outputs.iter().eq([expect(-1.5)]));
         let m = s.metrics.snapshot();
         assert_eq!(m.fast_path_ops, 2);
         assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
@@ -653,14 +671,11 @@ mod tests {
         let unit = CheckedNacu::new(s.config).expect("paper config");
         let tables = ResponseTables::build(unit.golden()).expect("16-bit fits");
         let fmt = s.config.format;
-        let xs: Vec<Fx> = [-2.0, 0.5, 3.25, -0.125]
-            .iter()
-            .map(|&v| Fx::from_f64(v, fmt, Rounding::Nearest))
-            .collect();
+        let xs = [-2.0, 0.5, 3.25, -0.125].map(|v| Fx::from_f64(v, fmt, Rounding::Nearest));
         let (ticket, reply) = crate::wake::pair(0);
         let j = Job {
             id: 0,
-            request: Request::new(Function::Softmax, xs.clone()),
+            request: Request::new(Function::Softmax, xs),
             reply,
             retries: 0,
             submitted_at: Instant::now(),
@@ -668,10 +683,8 @@ mod tests {
         };
         serve(0, &unit, Some(&tables), vec![j], &s).expect("infallible fast path");
         let golden = unit.golden().softmax(&xs).expect("valid vector");
-        assert_eq!(
-            ticket.try_wait().expect("reply").expect("served").outputs,
-            golden
-        );
+        let response = ticket.try_wait().expect("reply").expect("served");
+        assert!(response.outputs.iter().eq(golden));
         let m = s.metrics.snapshot();
         assert_eq!(m.fast_path_ops, xs.len() as u64);
     }

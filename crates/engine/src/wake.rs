@@ -629,12 +629,13 @@ impl CompletionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Codes;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     fn response(n: usize) -> Response {
         Response {
-            outputs: Vec::new(),
+            outputs: Codes::default(),
             worker: n,
             batch_ops: n,
             batch_cycles: n as u64,

@@ -16,11 +16,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use nacu_engine::{CompletionSet, Response, Ticket, WaitError};
+use nacu_engine::{Codes, CompletionSet, Response, Ticket, WaitError};
 
 fn stamped(sentinel: u64) -> Response {
     Response {
-        outputs: Vec::new(),
+        outputs: Codes::default(),
         worker: 0,
         batch_ops: 1,
         batch_cycles: sentinel,

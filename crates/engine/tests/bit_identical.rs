@@ -75,12 +75,21 @@ fn exhaustive_engine_sweep(config: NacuConfig, expect_fast: bool) {
                     .map(|&x| sequential.compute(function, x))
                     .collect();
                 assert_eq!(
-                    t_on.wait().expect("served").outputs,
+                    t_on.wait()
+                        .expect("served")
+                        .outputs
+                        .iter()
+                        .collect::<Vec<_>>(),
                     expected,
                     "fast-path engine diverged on {function}"
                 );
                 assert_eq!(
-                    t_off.wait().expect("served").outputs,
+                    t_off
+                        .wait()
+                        .expect("served")
+                        .outputs
+                        .iter()
+                        .collect::<Vec<_>>(),
                     expected,
                     "datapath engine diverged on {function}"
                 );
@@ -161,7 +170,7 @@ proptest! {
             .iter()
             .map(|&x| sequential.compute(function, x))
             .collect();
-        prop_assert_eq!(response.outputs, expected);
+        prop_assert_eq!(response.outputs.iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -183,7 +192,7 @@ proptest! {
         engine.shutdown();
 
         let expected = sequential.softmax(&operands).expect("non-empty batch");
-        prop_assert_eq!(response.outputs, expected);
+        prop_assert_eq!(response.outputs.iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -216,8 +225,8 @@ proptest! {
                             .submit_wait(Request::new(function, vec![x]))
                             .expect("served");
                         assert_eq!(
-                            response.outputs,
-                            vec![sequential.compute(function, x)],
+                            response.outputs.iter().collect::<Vec<_>>(),
+                            [sequential.compute(function, x)],
                             "client {client} op {i}: {function:?}({v})"
                         );
                     }

@@ -54,7 +54,11 @@ fn retried_responses_are_bit_identical_to_fault_free_run() {
             let response = ticket
                 .wait_timeout(Duration::from_secs(10))
                 .expect("healthy worker answers");
-            assert_eq!(response.outputs, expected, "bit-exact despite the fault");
+            assert_eq!(
+                response.outputs.iter().collect::<Vec<_>>(),
+                expected,
+                "bit-exact despite the fault"
+            );
             served += 1;
         }
         if engine.metrics().workers_quarantined > 0 {
@@ -76,7 +80,7 @@ fn retried_responses_are_bit_identical_to_fault_free_run() {
             .expect("still accepting")
             .wait()
             .expect("healthy worker");
-        assert_eq!(response.outputs, expected);
+        assert_eq!(response.outputs.iter().collect::<Vec<_>>(), expected);
     }
     assert_eq!(m.requests_failed, 0, "no client ever saw an error");
     engine.shutdown();
@@ -176,7 +180,7 @@ fn faults_outside_the_request_path_do_not_disturb_service() {
         .wait()
         .expect("entry 0 never read");
     let expected: Vec<Fx> = xs.iter().map(|&x| golden.tanh(x)).collect();
-    assert_eq!(response.outputs, expected);
+    assert_eq!(response.outputs.iter().collect::<Vec<_>>(), expected);
     assert_eq!(engine.healthy_workers(), 1);
     assert_eq!(engine.metrics().faults_detected, 0);
     engine.shutdown();

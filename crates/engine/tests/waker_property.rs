@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use nacu_engine::{Response, Ticket, WaitError};
+use nacu_engine::{Codes, Response, Ticket, WaitError};
 
 /// A waker that only counts. No parking: the consumer spins on the
 /// counter, which keeps the schedule space wide open on one core.
@@ -36,7 +36,7 @@ impl Wake for CountingWaker {
 /// delivered value can be matched to the completion that produced it.
 fn stamped(sentinel: u64) -> Response {
     Response {
-        outputs: Vec::new(),
+        outputs: Codes::default(),
         worker: 0,
         batch_ops: 1,
         batch_cycles: sentinel,

@@ -10,6 +10,8 @@
 //!   which the paper's evaluation relies on, are plain data),
 //! * [`Fx`] — a value in a given format, stored as the raw two's-complement
 //!   integer code an RTL implementation would hold in a register,
+//! * [`RawCode`] — the raw-code view shared by [`Fx`] and bare `i64`
+//!   codes, so batch loops serve either representation,
 //! * [`Rounding`] and [`Overflow`] — explicit quantisation and overflow
 //!   policies, because hardware behaviour (truncate vs round-to-nearest,
 //!   wrap vs saturate) is part of what the paper evaluates,
@@ -51,7 +53,7 @@ mod value;
 pub use error::FxError;
 pub use format::QFormat;
 pub use rounding::{Overflow, Rounding};
-pub use value::Fx;
+pub use value::{Fx, RawCode};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, FxError>;

@@ -378,6 +378,56 @@ impl Fx {
     }
 }
 
+/// An element of a batch of raw codes: what the serving engine's
+/// executors read and rewrite in place.
+///
+/// Implemented by [`Fx`] (the code plus its own format, the in-process
+/// API) and by bare `i64` (the code alone, its format held once per
+/// batch), so one gather or walk loop serves both representations.
+pub trait RawCode: Copy {
+    /// The raw two's-complement code.
+    fn code(self) -> i64;
+
+    /// `self` with its code replaced by `code`, in the same format. The
+    /// caller guarantees `code` fits that format (table entries and
+    /// datapath outputs do by construction); this is debug-asserted for
+    /// [`Fx`], never clamped.
+    #[must_use]
+    fn with_code(self, code: i64) -> Self;
+}
+
+impl RawCode for Fx {
+    #[inline]
+    fn code(self) -> i64 {
+        self.raw
+    }
+
+    #[inline]
+    fn with_code(self, code: i64) -> Self {
+        debug_assert!(
+            self.format.contains_raw(code),
+            "code {code} does not fit {}",
+            self.format
+        );
+        Self {
+            raw: code,
+            format: self.format,
+        }
+    }
+}
+
+impl RawCode for i64 {
+    #[inline]
+    fn code(self) -> i64 {
+        self
+    }
+
+    #[inline]
+    fn with_code(self, code: i64) -> Self {
+        code
+    }
+}
+
 /// Divides widened integers with an explicit rounding policy (exact rational
 /// rounding, no double-rounding).
 fn div_round(numer: i128, denom: i128, rounding: Rounding) -> i128 {

@@ -13,8 +13,8 @@ use nacu::Function;
 use nacu_fixed::Fx;
 
 use crate::proto::{
-    decode_reply, encode_request, max_reply_payload, read_payload_into, DecodeError, ReadError,
-    ReplyFrame, RequestFrame,
+    decode_reply, max_reply_payload, push_request, read_payload_into, DecodeError, ReadError,
+    ReplyFrame,
 };
 
 /// Why a client call failed.
@@ -53,6 +53,9 @@ pub struct NetClient {
     /// short read mid-frame can never leave a previous reply's bytes
     /// posing as the next frame's header or payload.
     recv_buf: Vec<u8>,
+    /// Request frame bytes, reused across sends: each frame's header and
+    /// codes are encoded straight from the caller's operands into it.
+    send_buf: Vec<u8>,
     next_id: u64,
     max_reply_ops: u32,
 }
@@ -71,6 +74,7 @@ impl NetClient {
             writer,
             reader,
             recv_buf: Vec::new(),
+            send_buf: Vec::new(),
             next_id: 1,
             max_reply_ops: 1 << 20,
         })
@@ -95,15 +99,17 @@ impl NetClient {
             || nacu_fixed::QFormat::new(4, 11).expect("paper format"),
             Fx::format,
         );
-        let frame = RequestFrame {
+        self.send_buf.clear();
+        push_request(
+            &mut self.send_buf,
             function,
             format,
             id,
             deadline_micros,
-            codes: operands.iter().map(|fx| fx.raw() as i16).collect(),
-        };
+            operands.iter().map(|fx| fx.raw() as i16),
+        );
         self.writer
-            .write_all(&encode_request(&frame))
+            .write_all(&self.send_buf)
             .map_err(ClientError::Io)?;
         Ok(id)
     }

@@ -38,6 +38,7 @@
 use std::io::Read;
 
 use nacu::Function;
+use nacu_engine::Codes;
 use nacu_fixed::{Fx, QFormat};
 
 /// `"NACU"` interpreted as a little-endian `u32`.
@@ -141,21 +142,37 @@ pub struct RequestFrame {
 }
 
 impl RequestFrame {
-    /// The codes as checked fixed-point values.
+    /// The codes as the engine's batch: the frame's format plus the codes
+    /// widened to `i64` in one pass. For formats narrower than 16 bits the
+    /// range check is one min/max fold over the codes (every i16 fits a
+    /// 16-bit format, so those skip it); only a failing frame is scanned
+    /// again, to name the first offending code.
     ///
     /// # Errors
     ///
     /// [`DecodeError::CodeOutOfRange`] when a code does not fit the
     /// frame's format (possible for formats narrower than 16 bits).
-    pub fn operands(&self) -> Result<Vec<Fx>, DecodeError> {
-        self.codes
-            .iter()
-            .enumerate()
-            .map(|(index, &code)| {
-                Fx::from_raw(i64::from(code), self.format)
-                    .map_err(|_| DecodeError::CodeOutOfRange { index, code })
-            })
-            .collect()
+    pub fn operands(&self) -> Result<Codes, DecodeError> {
+        let format = self.format;
+        if format.total_bits() < 16 {
+            let (min, max) = self
+                .codes
+                .iter()
+                .fold((i16::MAX, i16::MIN), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+            if !format.contains_raw(i64::from(min)) || !format.contains_raw(i64::from(max)) {
+                let (index, &code) = self
+                    .codes
+                    .iter()
+                    .enumerate()
+                    .find(|&(_, &c)| !format.contains_raw(i64::from(c)))
+                    .expect("the fold saw an out-of-range code");
+                return Err(DecodeError::CodeOutOfRange { index, code });
+            }
+        }
+        Ok(Codes {
+            format,
+            raw: self.codes.iter().map(|&c| i64::from(c)).collect(),
+        })
     }
 }
 
@@ -349,44 +366,89 @@ fn codes_at(payload: &[u8], at: usize, count: usize) -> Vec<i16> {
         .collect()
 }
 
-fn push_codes(out: &mut Vec<u8>, codes: &[i16]) {
-    for &code in codes {
-        out.extend_from_slice(&code.to_le_bytes());
+/// Appends `codes` as little-endian i16s in one bulk write: the buffer
+/// grows once, then each code fills its 2-byte slot.
+fn push_codes(out: &mut Vec<u8>, codes: impl ExactSizeIterator<Item = i16>) {
+    let start = out.len();
+    out.resize(start + 2 * codes.len(), 0);
+    for (slot, code) in out[start..].chunks_exact_mut(2).zip(codes) {
+        slot.copy_from_slice(&code.to_le_bytes());
     }
+}
+
+/// Appends a whole request frame, length prefix included, to `out`
+/// (which the caller owns and may reuse): the header fields, then the
+/// codes. The shared body of [`encode_request`] and the client's send.
+pub(crate) fn push_request(
+    out: &mut Vec<u8>,
+    function: Function,
+    format: QFormat,
+    id: u64,
+    deadline_micros: u64,
+    codes: impl ExactSizeIterator<Item = i16>,
+) {
+    let payload_len = REQUEST_HEADER_LEN + 2 * codes.len();
+    out.reserve(4 + payload_len);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(VERSION);
+    out.push(function_id(function).expect("servable function"));
+    out.push(format.int_bits() as u8);
+    out.push(format.frac_bits() as u8);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&deadline_micros.to_le_bytes());
+    out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+    push_codes(out, codes);
 }
 
 /// Serialises a request frame, length prefix included.
 #[must_use]
 pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
-    let payload_len = REQUEST_HEADER_LEN + 2 * frame.codes.len();
-    let mut out = Vec::with_capacity(4 + payload_len);
+    let mut out = Vec::new();
+    push_request(
+        &mut out,
+        frame.function,
+        frame.format,
+        frame.id,
+        frame.deadline_micros,
+        frame.codes.iter().copied(),
+    );
+    out
+}
+
+/// Appends a whole reply frame, length prefix included, to `out`. The
+/// shared body of [`encode_reply`] and the server's reply writer.
+pub(crate) fn push_reply(
+    out: &mut Vec<u8>,
+    status: Status,
+    code: u8,
+    id: u64,
+    codes: impl ExactSizeIterator<Item = i16>,
+) {
+    let payload_len = REPLY_HEADER_LEN + 2 * codes.len();
+    out.reserve(4 + payload_len);
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
-    out.push(function_id(frame.function).expect("servable function"));
-    out.push(frame.format.int_bits() as u8);
-    out.push(frame.format.frac_bits() as u8);
-    out.extend_from_slice(&frame.id.to_le_bytes());
-    out.extend_from_slice(&frame.deadline_micros.to_le_bytes());
-    out.extend_from_slice(&(frame.codes.len() as u32).to_le_bytes());
-    push_codes(&mut out, &frame.codes);
-    out
+    out.push(status as u8);
+    out.push(code);
+    out.push(0); // reserved
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+    push_codes(out, codes);
 }
 
 /// Serialises a reply frame, length prefix included.
 #[must_use]
 pub fn encode_reply(frame: &ReplyFrame) -> Vec<u8> {
-    let payload_len = REPLY_HEADER_LEN + 2 * frame.codes.len();
-    let mut out = Vec::with_capacity(4 + payload_len);
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(frame.status as u8);
-    out.push(frame.code);
-    out.push(0); // reserved
-    out.extend_from_slice(&frame.id.to_le_bytes());
-    out.extend_from_slice(&(frame.codes.len() as u32).to_le_bytes());
-    push_codes(&mut out, &frame.codes);
+    let mut out = Vec::new();
+    push_reply(
+        &mut out,
+        frame.status,
+        frame.code,
+        frame.id,
+        frame.codes.iter().copied(),
+    );
     out
 }
 
@@ -477,36 +539,15 @@ pub fn decode_reply(payload: &[u8]) -> Result<ReplyFrame, DecodeError> {
     })
 }
 
-/// Reads one length-prefixed payload off `reader`.
-///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer hung
-/// up between frames). The length prefix is validated against
-/// `max_payload` *before* any allocation, so a hostile 4 GiB length
-/// costs nothing.
-///
-/// # Errors
-///
-/// [`ReadError::TruncatedFrame`] when the stream dies mid-frame,
-/// [`ReadError::Oversize`] for a declared length beyond `max_payload`,
-/// [`ReadError::Io`] for transport failures.
-pub fn read_payload(
-    reader: &mut impl Read,
-    max_payload: u32,
-) -> Result<Option<Vec<u8>>, ReadError> {
-    let mut payload = Vec::new();
-    match read_payload_into(reader, max_payload, &mut payload)? {
-        Some(_) => Ok(Some(payload)),
-        None => Ok(None),
-    }
-}
-
 /// Reads one length-prefixed payload off `reader` into a reusable buffer.
 ///
-/// Same contract as [`read_payload`], but the caller owns the allocation:
-/// a pipelined client can read thousands of replies through one buffer
-/// without churning the allocator. Returns `Ok(Some(len))` with `buf`
-/// holding exactly `len` freshly-read bytes, or `Ok(None)` on a clean EOF
-/// at a frame boundary.
+/// The caller owns the allocation: a connection can read thousands of
+/// frames through one buffer without churning the allocator. Returns
+/// `Ok(Some(len))` with `buf` holding exactly `len` freshly-read bytes,
+/// or `Ok(None)` on a clean EOF at a frame boundary (the peer hung up
+/// between frames). The length prefix is validated against
+/// `max_payload` *before* the buffer grows, so a hostile 4 GiB length
+/// costs nothing.
 ///
 /// The cursor is reset (`buf.clear()`) before any byte of the new frame
 /// lands, and on every error path `buf` is truncated to the bytes that
@@ -722,36 +763,56 @@ mod tests {
                 code: 30_000
             })
         ));
+        // Both ends of the narrow range pass; one past either end fails.
+        f.codes = vec![-128, 0, 127];
+        let codes = f.operands().expect("in range");
+        assert_eq!(codes.format, f.format);
+        assert_eq!(codes.raw, [-128, 0, 127]);
+        f.codes = vec![0, -129];
+        assert!(matches!(
+            f.operands(),
+            Err(DecodeError::CodeOutOfRange {
+                index: 1,
+                code: -129
+            })
+        ));
+        // Every i16 fits a 16-bit format: widened verbatim.
+        let wide = frame(vec![i16::MIN, -1, i16::MAX]);
+        assert_eq!(wide.operands().expect("16-bit").raw, [-32768, -1, 32767]);
     }
 
     #[test]
-    fn read_payload_handles_eof_truncation_and_oversize() {
+    fn read_payload_into_handles_eof_truncation_and_oversize() {
         use std::io::Cursor;
+        let mut buf = Vec::new();
         // Clean EOF between frames.
-        assert!(read_payload(&mut Cursor::new(Vec::new()), 64)
-            .unwrap()
-            .is_none());
+        assert!(
+            read_payload_into(&mut Cursor::new(Vec::new()), 64, &mut buf)
+                .unwrap()
+                .is_none()
+        );
         // EOF mid-length-prefix.
         assert!(matches!(
-            read_payload(&mut Cursor::new(vec![1, 2]), 64),
+            read_payload_into(&mut Cursor::new(vec![1, 2]), 64, &mut buf),
             Err(ReadError::TruncatedFrame { got: 2, .. })
         ));
         // EOF mid-payload.
         let mut bytes = 8u32.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0; 3]);
         assert!(matches!(
-            read_payload(&mut Cursor::new(bytes), 64),
+            read_payload_into(&mut Cursor::new(bytes), 64, &mut buf),
             Err(ReadError::TruncatedFrame {
                 declared: 8,
                 got: 3
             })
         ));
-        // Hostile length prefix, rejected before allocation.
+        // Hostile length prefix, rejected before the buffer grows.
         let huge = u32::MAX.to_le_bytes().to_vec();
         assert!(matches!(
-            read_payload(&mut Cursor::new(huge), 64),
+            read_payload_into(&mut Cursor::new(huge), 64, &mut buf),
             Err(ReadError::Oversize { max: 64, .. })
         ));
+        assert!(buf.is_empty());
     }
 
     #[test]

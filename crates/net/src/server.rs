@@ -44,8 +44,8 @@ use nacu_engine::{
 };
 
 use crate::proto::{
-    code, decode_request, encode_reply, max_request_payload, read_payload, ReadError, ReplyFrame,
-    RequestFrame, Status,
+    code, decode_request, encode_reply, max_request_payload, push_reply, read_payload_into,
+    ReadError, ReplyFrame, RequestFrame, Status,
 };
 
 /// Per-client rate limit for the token bucket.
@@ -189,11 +189,16 @@ impl Conn {
         }
     }
 
-    /// Writes one reply frame (counted even if the write then fails,
-    /// matching the pre-dispatcher accounting). On error the connection
-    /// is marked dead and both socket halves are shut down so a blocked
-    /// reader unsticks.
+    /// Writes one control reply (BUSY/SHED/QUOTA/ERROR, header only).
     fn write_reply(&self, frame: &ReplyFrame, metrics: &EngineMetrics) {
+        self.write_encoded(&encode_reply(frame), metrics);
+    }
+
+    /// Writes one encoded reply frame (counted even if the write then
+    /// fails, matching the pre-dispatcher accounting). On error the
+    /// connection is marked dead and both socket halves are shut down so
+    /// a blocked reader unsticks.
+    fn write_encoded(&self, bytes: &[u8], metrics: &EngineMetrics) {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
@@ -201,7 +206,7 @@ impl Conn {
         let failed = {
             let mut stream = self.stream.lock().expect("stream lock");
             stream
-                .write_all(&encode_reply(frame))
+                .write_all(bytes)
                 .and_then(|()| stream.flush())
                 .is_err()
         };
@@ -346,6 +351,8 @@ fn dispatcher_loop(shard: &Arc<Shard>, mut set: CompletionSet, metrics: &Arc<Eng
     // request_id → (client-chosen reply id, connection).
     let mut routes: HashMap<u64, (u64, Arc<Conn>)> = HashMap::new();
     let mut completed: Vec<(u64, Result<nacu_engine::Response, WaitError>)> = Vec::new();
+    // Reply bytes, reused for every frame this dispatcher writes.
+    let mut out: Vec<u8> = Vec::new();
     loop {
         let arrivals = {
             let mut inbox = shard.inbox.lock().expect("inbox lock");
@@ -370,7 +377,9 @@ fn dispatcher_loop(shard: &Arc<Shard>, mut set: CompletionSet, metrics: &Arc<Eng
             let Some((client_id, conn)) = routes.remove(&key) else {
                 continue;
             };
-            conn.write_reply(&completion_reply(client_id, outcome, metrics), metrics);
+            out.clear();
+            encode_completion(&mut out, client_id, outcome, metrics);
+            conn.write_encoded(&out, metrics);
             conn.release_slot();
         }
     }
@@ -525,9 +534,11 @@ fn read_loop(
     let peer_ip = stream.peer_addr().map(|a| a.ip()).ok();
     let mut reader = std::io::BufReader::new(stream);
     let max_payload = max_request_payload(config.max_frame_ops);
+    // Request payload bytes, reused for every frame on this connection.
+    let mut payload = Vec::new();
     loop {
-        let payload = match read_payload(&mut reader, max_payload) {
-            Ok(Some(payload)) => payload,
+        match read_payload_into(&mut reader, max_payload, &mut payload) {
+            Ok(Some(_)) => {}
             Ok(None) => return, // clean EOF
             Err(ReadError::Oversize { .. }) => {
                 metrics.record_net_protocol_error();
@@ -631,7 +642,8 @@ fn admit(
             ));
         }
     };
-    let mut request = nacu_engine::Request::new(frame.function, operands).with_client(conn_id);
+    let mut request =
+        nacu_engine::Request::from_codes(frame.function, operands).with_client(conn_id);
     if let Some(budget) = budget {
         request = request.with_deadline(Instant::now() + budget);
     }
@@ -653,31 +665,32 @@ fn admit(
     }
 }
 
-/// Maps one ticket outcome onto its wire reply.
-fn completion_reply(
+/// Encodes one ticket outcome as its wire reply into `out`: an OK reply
+/// narrows the response's codes straight into the frame (the plane only
+/// serves ≤16-bit formats, see [`serve`]).
+fn encode_completion(
+    out: &mut Vec<u8>,
     client_id: u64,
     outcome: Result<nacu_engine::Response, WaitError>,
     metrics: &EngineMetrics,
-) -> ReplyFrame {
-    match outcome {
-        Ok(response) => ReplyFrame {
-            status: Status::Ok,
-            code: code::NONE,
-            id: client_id,
-            codes: response.outputs.iter().map(|fx| fx.raw() as i16).collect(),
-        },
+) {
+    let (status, detail) = match outcome {
+        Ok(response) => {
+            let codes = response.outputs.raw.iter().map(|&c| c as i16);
+            push_reply(out, Status::Ok, code::NONE, client_id, codes);
+            return;
+        }
         Err(WaitError::DeadlineExpired) => {
             metrics.record_net_request_shed();
-            ReplyFrame::control(Status::Shed, code::NONE, client_id)
+            (Status::Shed, code::NONE)
         }
-        Err(WaitError::EngineShutDown) => {
-            ReplyFrame::control(Status::Error, code::SHUTTING_DOWN, client_id)
-        }
+        Err(WaitError::EngineShutDown) => (Status::Error, code::SHUTTING_DOWN),
         Err(WaitError::FaultDetected { .. } | WaitError::NoHealthyWorkers) => {
-            ReplyFrame::control(Status::Error, code::FAULT, client_id)
+            (Status::Error, code::FAULT)
         }
-        Err(WaitError::Timeout) => ReplyFrame::control(Status::Error, code::INTERNAL, client_id),
-    }
+        Err(WaitError::Timeout) => (Status::Error, code::INTERNAL),
+    };
+    push_reply(out, status, detail, client_id, std::iter::empty());
 }
 
 #[cfg(test)]

@@ -171,3 +171,58 @@ fn mixed_garbage_after_valid_traffic_poisons_only_its_own_connection() {
     assert_eq!(reply.codes.len(), 6);
     assert_engine_alive(&engine);
 }
+
+/// The narrow-format range check over a real socket: an engine at Q2.5
+/// (8-bit, codes −128..=127) gets a frame carrying code 30000. That frame
+/// is answered ERROR/PROTOCOL under its own id and counted, and a
+/// well-formed frame on a second connection is still served.
+#[test]
+fn narrow_format_out_of_range_code_is_a_protocol_error() {
+    let q2_5 = QFormat::new(2, 5).expect("valid format");
+    let config = NacuConfig {
+        format: q2_5,
+        ..NacuConfig::for_width(8).expect("8-bit config")
+    };
+    let engine = Engine::new(EngineConfig::new(config).with_workers(2)).expect("Q2.5 engine");
+    assert_eq!(engine.format(), q2_5);
+    let server = engine.handle().serve_net("127.0.0.1:0").expect("bind");
+
+    let mut hostile = TcpStream::connect(server.addr()).expect("hostile client");
+    let frame = RequestFrame {
+        function: Function::Sigmoid,
+        format: q2_5,
+        id: 99,
+        deadline_micros: 0,
+        codes: vec![1, 30_000, -2],
+    };
+    hostile
+        .write_all(&encode_request(&frame))
+        .expect("write out-of-range frame");
+    let mut len = [0u8; 4];
+    hostile.read_exact(&mut len).expect("reply length");
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    hostile.read_exact(&mut payload).expect("reply payload");
+    let reply = decode_reply(&payload).expect("typed reply");
+    assert_eq!(reply.status, Status::Error);
+    assert_eq!(reply.code, code::PROTOCOL);
+    assert_eq!(reply.id, 99, "the frame decoded, so its id is echoed");
+    assert!(reply.codes.is_empty());
+    assert_eq!(engine.metrics().net_protocol_errors, 1);
+
+    let mut healthy = NetClient::connect(server.addr()).expect("healthy client");
+    let operands: Vec<Fx> = [-128, -1, 0, 127]
+        .iter()
+        .map(|&raw| Fx::from_raw(raw, q2_5).expect("fits Q2.5"))
+        .collect();
+    let reply = healthy
+        .call(Function::Tanh, &operands, 0)
+        .expect("well-formed call");
+    assert_eq!(reply.status, Status::Ok);
+    let golden = nacu::Nacu::new(config).expect("golden unit");
+    let expected: Vec<i16> = operands
+        .iter()
+        .map(|&x| golden.tanh(x).raw() as i16)
+        .collect();
+    assert_eq!(reply.codes, expected);
+    assert_engine_alive(&engine);
+}

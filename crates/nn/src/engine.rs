@@ -147,7 +147,7 @@ impl EngineActivation {
                                     wall_ns,
                                 });
                             }
-                            return Ok(response.outputs);
+                            return Ok(response.outputs.iter().collect());
                         }
                         Err(WaitError::DeadlineExpired) => {
                             // The engine's default deadline lapsed under load;

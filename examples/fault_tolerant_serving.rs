@@ -70,7 +70,11 @@ fn main() {
         let b = engine.submit(Request::new(Function::Sigmoid, xs.clone()));
         for ticket in [a, b].into_iter().flatten() {
             let response = ticket.wait().expect("a healthy shard answers");
-            assert_eq!(response.outputs, expected, "every response is golden");
+            assert_eq!(
+                response.outputs.iter().collect::<Vec<_>>(),
+                expected,
+                "every response is golden"
+            );
             served += 1;
         }
         if engine.metrics().workers_quarantined > 0 {

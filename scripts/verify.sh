@@ -43,6 +43,12 @@ stage tier1-test cargo test -q --offline
 stage workspace cargo test --workspace --release -q --offline
 stage clippy cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The serving benchmark (servebench/, its own Cargo workspace) calls the
+# program APIs directly: build it so an API change that breaks it fails
+# here, not when the benchmark runs.
+stage servebench-build env CARGO_TARGET_DIR=target/servebench \
+    cargo build --release --offline --manifest-path servebench/Cargo.toml
+
 # Observability smoke: shadow-sampling overhead gate, a live /metrics
 # scrape over a real TCP socket, and the injected-drift /health demo.
 # The scrape artifacts land next to the stage logs.

@@ -117,6 +117,59 @@ fn pipelined_clients_match_sequential_golden_bit_for_bit() {
     engine.shutdown();
 }
 
+/// Every one of the 2^16 Q4.11 codes, for σ/tanh/exp, through a loopback
+/// socket in 4096-code frames: wire decode, the engine's code batches
+/// and reply encode must return exactly `Nacu::compute`'s code, with the
+/// table fast path on and with every operand walking the datapath.
+#[test]
+fn exhaustive_q4_11_sweep_over_loopback_tcp_matches_the_datapath() {
+    const FRAME: usize = 4096;
+    let config = NacuConfig::paper_16bit();
+    let golden = Nacu::new(config).expect("golden unit");
+    let fmt = config.format;
+    let inputs: Vec<Fx> = fmt
+        .raw_codes()
+        .map(|raw| Fx::from_raw(raw, fmt).expect("format code"))
+        .collect();
+    assert_eq!(inputs.len(), 1 << 16);
+    for fast_path in [true, false] {
+        let engine = Engine::new(
+            EngineConfig::new(config)
+                .with_workers(2)
+                .with_fast_path(fast_path),
+        )
+        .expect("paper config");
+        let mut server = engine.handle().serve_net("127.0.0.1:0").expect("bind");
+        let mut client = NetClient::connect(server.addr()).expect("connect");
+        for function in [Function::Sigmoid, Function::Tanh, Function::Exp] {
+            // All 16 frames of one function in flight, then every reply.
+            let mut inflight = HashMap::new();
+            for chunk in inputs.chunks(FRAME) {
+                let id = client.send(function, chunk, 0).expect("send");
+                inflight.insert(id, chunk);
+            }
+            while !inflight.is_empty() {
+                let reply = client.recv().expect("recv");
+                let chunk = inflight.remove(&reply.id).expect("known id");
+                assert_eq!(reply.status, Status::Ok, "{function:?}");
+                assert_eq!(reply.codes.len(), chunk.len());
+                for (&x, &code) in chunk.iter().zip(&reply.codes) {
+                    assert_eq!(
+                        i64::from(code),
+                        golden.compute(function, x).raw(),
+                        "{function:?} at {x} (fast path {fast_path})"
+                    );
+                }
+            }
+        }
+        let served = engine.metrics();
+        let expected_fast = if fast_path { 3 << 16 } else { 0 };
+        assert_eq!(served.fast_path_ops, expected_fast);
+        server.shutdown();
+        engine.shutdown();
+    }
+}
+
 /// 256 concurrent pipelined connections through the fixed dispatcher
 /// pool: every socket keeps several requests in flight at once, yet the
 /// reply plane runs on two dispatcher threads total — and every output
