@@ -356,9 +356,9 @@ fn replay_driver(
     result?;
 
     let metrics = handle.live_metrics();
-    metrics.record_replay_requests(outcome.records as u64);
+    metrics.replay_requests_replayed.add(outcome.records as u64);
     if outcome.divergence.is_some() {
-        metrics.record_replay_divergence();
+        metrics.replay_divergences.add(1);
     }
     Ok(outcome)
 }

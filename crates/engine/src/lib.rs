@@ -481,6 +481,33 @@ struct Shared {
     telemetry: Option<Arc<Telemetry>>,
 }
 
+impl Shared {
+    /// Every counter: the engine's live tallies plus the `owner` rows of
+    /// the counter table, each read from the one module that counts it.
+    fn metrics(&self) -> MetricsSnapshot {
+        let cycles = self.obs.cycles().snapshot();
+        let total = cycles.total();
+        let ops = |function| cycles.row(function).map_or(0, |row| row.ops);
+        let recorder = self.recorder.as_deref();
+        let telemetry = self.telemetry.as_deref();
+        MetricsSnapshot {
+            batches_executed: total.batches,
+            sigmoid_ops: ops(Function::Sigmoid),
+            tanh_ops: ops(Function::Tanh),
+            exp_ops: ops(Function::Exp),
+            softmax_ops: ops(Function::Softmax),
+            modeled_cycles: total.modeled_cycles,
+            drift_alarms: self.obs.health().total_alarms(),
+            replay_records_captured: recorder.map_or(0, Recorder::captured),
+            replay_records_dropped: recorder.map_or(0, Recorder::dropped),
+            telemetry_samples: telemetry.map_or(0, |t| t.series().taken()),
+            slo_alarm_trips: telemetry.map_or(0, |t| t.statuses().iter().map(|s| s.trips).sum()),
+            queue_depth_high_water: self.queue.high_water() as u64,
+            ..self.metrics.snapshot()
+        }
+    }
+}
+
 /// A cloneable submission handle, independent of the [`Engine`]'s
 /// lifetime management. Clients and layers hold handles; the engine owner
 /// keeps the [`Engine`] for shutdown and reporting.
@@ -536,17 +563,13 @@ impl EngineHandle {
                     u64::try_from(d.saturating_duration_since(Instant::now()).as_micros())
                         .unwrap_or(u64::MAX)
                 });
-                let slot = recorder.begin(
+                recorder.begin(
                     req,
                     function,
                     deadline_micros,
                     conn,
                     request.operands.raw.iter().map(|&code| code as i16),
-                );
-                if slot == NO_RECORD_SLOT {
-                    self.shared.metrics.record_replay_record_dropped();
-                }
-                slot
+                )
             }
             None => NO_RECORD_SLOT,
         };
@@ -559,9 +582,13 @@ impl EngineHandle {
             submitted_at: Instant::now(),
             record,
         }) {
-            Ok(depth) => {
-                self.shared.metrics.record_submitted();
-                self.shared.metrics.record_queue_depth(depth);
+            Ok(_) => {
+                self.shared.metrics.requests_submitted.add(1);
+                // A drop is counted only once the request is admitted: a
+                // refused submission was never going to be recorded.
+                if let (Some(recorder), NO_RECORD_SLOT) = (&self.shared.recorder, record) {
+                    recorder.count_dropped();
+                }
                 self.shared.obs.record_trace(TraceKind::Submit {
                     req,
                     conn,
@@ -572,7 +599,7 @@ impl EngineHandle {
             }
             Err(PushError::Full(job)) => {
                 self.abandon_record(job.record);
-                self.shared.metrics.record_busy_rejection();
+                self.shared.metrics.busy_rejections.add(1);
                 Err(SubmitError::Busy {
                     capacity: self.shared.queue.capacity(),
                 })
@@ -626,7 +653,7 @@ impl EngineHandle {
     /// Live counter snapshot.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.metrics()
     }
 
     /// The engine's live observability surface (histograms, trace ring,
@@ -698,7 +725,7 @@ impl ScrapeSource for HandleSource {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.shared.metrics.snapshot().exporter_counters()
+        self.shared.metrics().exporter_counters()
     }
 
     fn workers(&self) -> WorkerCensus {
@@ -823,27 +850,27 @@ impl Engine {
                 config.slos,
             ))
         });
+        let shared = Arc::new(Shared {
+            queue,
+            metrics,
+            obs,
+            health: Arc::clone(&health),
+            format,
+            default_deadline: config.default_deadline,
+            next_request_id: AtomicU64::new(0),
+            recorder,
+            telemetry,
+        });
         let sampler_stop = Arc::new(AtomicBool::new(false));
-        let sampler = telemetry.as_ref().map(|telemetry| {
+        let sampler = shared.telemetry.as_ref().map(|telemetry| {
             spawn_sampler(
+                Arc::clone(&shared),
                 Arc::clone(telemetry),
-                Arc::clone(&obs),
-                Arc::clone(&metrics),
                 Arc::clone(&sampler_stop),
             )
         });
         Ok(Self {
-            shared: Arc::new(Shared {
-                queue,
-                metrics,
-                obs,
-                health: Arc::clone(&health),
-                format,
-                default_deadline: config.default_deadline,
-                next_request_id: AtomicU64::new(0),
-                recorder,
-                telemetry,
-            }),
+            shared,
             handles,
             workers,
             health,
@@ -894,7 +921,7 @@ impl Engine {
     /// Live counter snapshot, without stopping anything.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.metrics()
     }
 
     /// The engine's live observability surface (see [`EngineHandle::obs`]).
@@ -971,14 +998,14 @@ impl Engine {
 }
 
 /// Spawns the telemetry sampler: a parked loop that, every tick, diffs
-/// the engine's observability snapshot into the windowed series,
-/// re-evaluates the SLOs, and turns status edges into counters and trace
-/// events. `park_timeout` (not `sleep`) so shutdown can cut a long
-/// interval short with one `unpark`.
+/// the engine's observability snapshot and counters into the windowed
+/// series, re-evaluates the SLOs, and turns status edges into trace
+/// events (the series counts its samples and the SLO engine its trips).
+/// `park_timeout` (not `sleep`) so shutdown can cut a long interval
+/// short with one `unpark`.
 fn spawn_sampler(
+    shared: Arc<Shared>,
     telemetry: Arc<Telemetry>,
-    obs: Arc<Obs>,
-    metrics: Arc<EngineMetrics>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     let interval = telemetry.interval();
@@ -989,12 +1016,11 @@ fn spawn_sampler(
             if stop.load(Ordering::Acquire) {
                 return;
             }
-            let counters = metrics.snapshot().exporter_counters();
+            let obs = &shared.obs;
+            let counters = shared.metrics().exporter_counters();
             let statuses = telemetry.sample(obs.snapshot(), counters);
-            metrics.record_telemetry_sample();
             for status in &statuses {
                 if status.tripped_now {
-                    metrics.record_slo_trip();
                     obs.record_trace(TraceKind::SloBurn {
                         slo: status.name,
                         active: true,
@@ -1162,26 +1188,81 @@ mod tests {
         ));
     }
 
+    /// Served work lands in every counter, the owner-sourced ones
+    /// included: per-function ops and batches from the cycle accounting,
+    /// the high-water mark from the queue, captures and drops from the
+    /// recorder.
     #[test]
     fn metrics_count_ops_per_function() {
-        let engine = engine(1);
+        let engine = Engine::new(
+            EngineConfig::new(NacuConfig::paper_16bit())
+                .with_workers(1)
+                .with_recording(1),
+        )
+        .expect("paper config");
         let fmt = engine.format();
-        engine
-            .submit(Request::new(Function::Sigmoid, operands(fmt, 5)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        engine
-            .submit(Request::new(Function::Softmax, operands(fmt, 3)))
-            .unwrap()
-            .wait()
-            .unwrap();
+        // One request at a time, so the queue never holds more than one.
+        // The single recorder slot keeps the undrained first record, so
+        // the second request is served but not recorded.
+        for (function, n) in [(Function::Sigmoid, 5), (Function::Softmax, 3)] {
+            engine
+                .submit(Request::new(function, operands(fmt, n)))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
         let m = engine.metrics();
         assert_eq!(m.sigmoid_ops, 5);
+        assert_eq!(m.tanh_ops, 0);
+        assert_eq!(m.exp_ops, 0);
         assert_eq!(m.softmax_ops, 3);
+        assert_eq!(m.total_ops(), 8);
+        assert_eq!(m.batches_executed, 2);
+        assert_eq!(
+            m.modeled_cycles,
+            report::modeled_batch_cycles(Function::Sigmoid, 5)
+                + report::modeled_batch_cycles(Function::Softmax, 3)
+        );
         assert_eq!(m.requests_submitted, 2);
         assert_eq!(m.requests_completed, 2);
-        assert!(m.queue_depth_high_water >= 1);
+        assert_eq!(m.coalesced_requests, 0);
+        assert_eq!(m.queue_depth_high_water, 1);
+        assert_eq!(m.replay_records_captured, 1);
+        assert_eq!(m.replay_records_dropped, 1);
+        assert_eq!(m.drift_alarms, 0);
+        assert_eq!(m.telemetry_samples, 0);
+    }
+
+    /// A submission the queue refuses was never admitted, so it is not a
+    /// dropped trace record even when the recorder ring is saturated.
+    #[test]
+    fn refused_submissions_are_not_counted_as_dropped_records() {
+        let engine = Engine::new(
+            EngineConfig::new(NacuConfig::paper_16bit())
+                .with_workers(1)
+                .with_recording(1),
+        )
+        .expect("paper config");
+        let fmt = engine.format();
+        let handle = engine.handle();
+        // Served and left undrained: slot 0 stays complete.
+        handle
+            .submit_wait(Request::new(Function::Sigmoid, operands(fmt, 2)))
+            .unwrap();
+        handle
+            .submit_wait(Request::new(Function::Sigmoid, operands(fmt, 2)))
+            .unwrap();
+        assert_eq!(handle.metrics().replay_records_dropped, 1);
+        engine.shutdown();
+        assert_eq!(
+            handle
+                .submit(Request::new(Function::Sigmoid, operands(fmt, 2)))
+                .map(|_| ()),
+            Err(SubmitError::ShuttingDown)
+        );
+        let m = handle.metrics();
+        assert_eq!(m.replay_records_dropped, 1);
+        assert_eq!(m.replay_records_captured, 1);
     }
 
     #[test]

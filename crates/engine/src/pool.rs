@@ -102,9 +102,7 @@ pub(crate) struct PoolShared {
 /// Completes a served job's trace record with its response codes.
 fn record_reply(shared: &PoolShared, slot: u32, outputs: &Codes) {
     if let Some(recorder) = &shared.recorder {
-        if recorder.complete(slot, outputs.raw.iter().map(|&code| code as i16)) {
-            shared.metrics.record_replay_record_captured();
-        }
+        recorder.complete(slot, outputs.raw.iter().map(|&code| code as i16));
     }
 }
 
@@ -190,8 +188,8 @@ fn run_worker(worker: usize, shared: &PoolShared) {
 /// Takes this worker out of service and re-routes its in-flight jobs.
 fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolShared) {
     shared.health[worker].store(false, Ordering::Release);
-    shared.metrics.record_fault_detected();
-    shared.metrics.record_worker_quarantined();
+    shared.metrics.faults_detected.add(1);
+    shared.metrics.workers_quarantined.add(1);
     shared
         .obs
         .record_trace(TraceKind::fault(worker as u32, &event));
@@ -208,18 +206,18 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
     for mut job in jobs {
         if !any_healthy {
             abandon_record(shared, job.record);
-            shared.metrics.record_request_failed();
+            shared.metrics.requests_failed.add(1);
             job.reply.complete(Err(RequestError::NoHealthyWorkers));
         } else if job.retries >= shared.fault.max_retries {
             abandon_record(shared, job.record);
-            shared.metrics.record_request_failed();
+            shared.metrics.requests_failed.add(1);
             job.reply.complete(Err(RequestError::FaultDetected {
                 event,
                 attempts: job.retries + 1,
             }));
         } else {
             job.retries += 1;
-            shared.metrics.record_retry();
+            shared.metrics.retries.add(1);
             shared.obs.record_trace(TraceKind::Retry {
                 req: job.id,
                 worker: worker as u32,
@@ -229,7 +227,7 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
                 shared.queue.try_push(job)
             {
                 abandon_record(shared, job.record);
-                shared.metrics.record_request_failed();
+                shared.metrics.requests_failed.add(1);
                 job.reply.complete(Err(RequestError::FaultDetected {
                     event,
                     attempts: job.retries,
@@ -241,7 +239,7 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
         // Last one out answers whatever was stranded behind the door.
         for mut job in shared.queue.drain() {
             abandon_record(shared, job.record);
-            shared.metrics.record_request_failed();
+            shared.metrics.requests_failed.add(1);
             job.reply.complete(Err(RequestError::NoHealthyWorkers));
         }
     }
@@ -286,7 +284,7 @@ fn serve_batch(
     for mut job in jobs.drain(..) {
         if job.request.deadline.is_some_and(|d| d < now) {
             abandon_record(shared, job.record);
-            metrics.record_expired();
+            metrics.requests_expired.add(1);
             obs.record_trace(TraceKind::Expired {
                 req: job.id,
                 function: job.request.function,
@@ -372,7 +370,7 @@ fn serve_batch(
                     .execute(&mut job.request.operands.raw)
                     .expect("the table gather is infallible");
             }
-            metrics.record_fast_path_ops(batch_ops as u64);
+            metrics.fast_path_ops.add(batch_ops as u64);
             None
         } else {
             // Datapath walk through the worker's checked unit, into a
@@ -405,7 +403,6 @@ fn serve_batch(
                 Some(per_job) => per_job[job_index].raw[operand],
             };
             if let Some(alarm) = health.observe(function, x, y as f64 * resolution) {
-                metrics.record_drift_alarm();
                 obs.record_trace(TraceKind::DriftAlarm {
                     worker: worker as u32,
                     function,
@@ -428,7 +425,7 @@ fn serve_batch(
             ops: batch_ops as u32,
             service_ns,
         });
-        metrics.record_batch(function, live.len() as u64, batch_ops as u64, batch_cycles);
+        metrics.record_batch(live.len() as u64);
         let reply = |mut job: Job, outputs: Codes| {
             record_reply(shared, job.record, &outputs);
             let e2e_ns = as_ns(job.submitted_at.elapsed());
@@ -505,7 +502,7 @@ fn serve_batch(
                     .golden()
                     .softmax_with(&vector, |x| table.lookup(x))
                     .expect("submit validated the vector");
-                metrics.record_fast_path_ops(n as u64);
+                metrics.fast_path_ops.add(n as u64);
                 outputs
             } else {
                 match unit.softmax(&vector) {
@@ -533,7 +530,7 @@ fn serve_batch(
                 ops: n as u32,
                 service_ns,
             });
-            metrics.record_batch(function, 1, n as u64, batch_cycles);
+            metrics.record_batch(1);
             // The request's code buffer becomes the response: the outputs
             // share the operands' format (§III), so only codes change.
             let mut codes = std::mem::take(&mut job.request.operands);
@@ -653,11 +650,12 @@ mod tests {
         let b_out = b_rx.try_wait().expect("reply").expect("served");
         assert!(a_out.outputs.iter().eq([expect(0.25)]));
         assert!(b_out.outputs.iter().eq([expect(-1.5)]));
-        let m = s.metrics.snapshot();
-        assert_eq!(m.fast_path_ops, 2);
-        assert_eq!(m.sigmoid_ops, 2, "fast path still feeds the op counter");
+        assert_eq!(s.metrics.snapshot().fast_path_ops, 2);
+        let cycles = s.obs.cycles().snapshot();
+        let row = cycles.row(Function::Sigmoid).expect("accounted");
+        assert_eq!(row.ops, 2, "fast path still feeds the op counter");
         assert_eq!(
-            m.modeled_cycles,
+            row.modeled_cycles,
             modeled_batch_cycles(Function::Sigmoid, 2),
             "Table I accounting models the hardware, not the software path"
         );
@@ -827,7 +825,7 @@ mod tests {
         serve(0, &unit, None, vec![j], &s).expect("no detectors armed");
         assert!(rx.try_wait().expect("reply").is_ok(), "served, not failed");
         assert!(s.obs.health().alarm_latched(), "drift alarm latched");
-        assert!(s.metrics.snapshot().drift_alarms >= 1);
+        assert!(s.obs.health().total_alarms() >= 1);
         let names: Vec<&str> = s
             .obs
             .drain_trace(16)

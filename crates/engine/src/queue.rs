@@ -494,6 +494,18 @@ mod tests {
     }
 
     #[test]
+    fn high_water_keeps_the_maximum_depth() {
+        let q = BoundedQueue::new(8);
+        for v in 0..3 {
+            q.try_push(v).unwrap();
+        }
+        assert_eq!(q.drain().len(), 3);
+        q.try_push(9).unwrap();
+        assert_eq!(q.depth(), 1);
+        assert_eq!(q.high_water(), 3);
+    }
+
+    #[test]
     fn capacity_is_exact_even_when_not_a_power_of_two() {
         let q = BoundedQueue::new(5);
         assert_eq!(q.capacity(), 5);

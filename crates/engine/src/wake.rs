@@ -508,7 +508,7 @@ impl CompletionSet {
             Poll::Ready(outcome) => self.done.push((key, outcome)),
             Poll::Pending => {
                 if let Some(metrics) = &self.metrics {
-                    metrics.record_async_waker_registered();
+                    metrics.async_wakers_registered.add(1);
                 }
                 self.pending.insert(key, future.into_inner());
             }
@@ -581,7 +581,7 @@ impl CompletionSet {
         if drained == 0 {
             // Parked, woken, nothing to show — a poke or a stale key.
             if let Some(metrics) = &self.metrics {
-                metrics.record_async_spurious_wakeup();
+                metrics.async_spurious_wakeups.add(1);
             }
         }
         drained
@@ -603,7 +603,7 @@ impl CompletionSet {
                 // Woken for a key we no longer track (ticket dropped or
                 // already drained) — spurious, skip.
                 if let Some(metrics) = &self.metrics {
-                    metrics.record_async_spurious_wakeup();
+                    metrics.async_spurious_wakeups.add(1);
                 }
                 continue;
             };
@@ -616,7 +616,7 @@ impl CompletionSet {
                     // A wakeup always trails the published value, so this
                     // branch is defensive: re-arm and count it.
                     if let Some(metrics) = &self.metrics {
-                        metrics.record_async_spurious_wakeup();
+                        metrics.async_spurious_wakeups.add(1);
                     }
                     self.insert(key, ticket);
                 }

@@ -202,7 +202,7 @@ impl Conn {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        metrics.record_net_frame_out();
+        metrics.net_frames_out.add(1);
         let failed = {
             let mut stream = self.stream.lock().expect("stream lock");
             stream
@@ -371,7 +371,7 @@ fn dispatcher_loop(shard: &Arc<Shard>, mut set: CompletionSet, metrics: &Arc<Eng
         }
         completed.clear();
         if set.wait_completed(&mut completed) > 0 {
-            metrics.record_async_dispatcher_batch();
+            metrics.async_dispatcher_batches.add(1);
         }
         for (key, outcome) in completed.drain(..) {
             let Some((client_id, conn)) = routes.remove(&key) else {
@@ -458,11 +458,11 @@ fn accept_loop(
         }
         let Ok(stream) = stream else { continue };
         if live.load(Ordering::Acquire) >= config.max_connections {
-            metrics.record_net_connection_rejected();
+            metrics.net_connections_rejected.add(1);
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        metrics.record_net_connection_accepted();
+        metrics.net_connections_accepted.add(1);
         live.fetch_add(1, Ordering::AcqRel);
         let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
         let handle = handle.clone();
@@ -541,7 +541,7 @@ fn read_loop(
             Ok(Some(_)) => {}
             Ok(None) => return, // clean EOF
             Err(ReadError::Oversize { .. }) => {
-                metrics.record_net_protocol_error();
+                metrics.net_protocol_errors.add(1);
                 conn.write_reply(
                     &ReplyFrame::control(Status::Error, code::PROTOCOL, 0),
                     metrics,
@@ -550,14 +550,14 @@ fn read_loop(
             }
             Err(ReadError::TruncatedFrame { .. } | ReadError::Io(_)) => {
                 // The stream died mid-frame: nothing to answer to.
-                metrics.record_net_protocol_error();
+                metrics.net_protocol_errors.add(1);
                 return;
             }
         };
         let frame = match decode_request(&payload, config.max_frame_ops) {
             Ok(frame) => frame,
             Err(_) => {
-                metrics.record_net_protocol_error();
+                metrics.net_protocol_errors.add(1);
                 conn.write_reply(
                     &ReplyFrame::control(Status::Error, code::PROTOCOL, 0),
                     metrics,
@@ -565,7 +565,7 @@ fn read_loop(
                 return; // cannot resync a corrupt stream
             }
         };
-        metrics.record_net_frame_in();
+        metrics.net_frames_in.add(1);
         match admit(frame, conn_id, handle, metrics, config, &buckets, peer_ip) {
             Admission::Immediate(frame) => conn.write_reply(&frame, metrics),
             Admission::InFlight { client_id, ticket } => {
@@ -614,7 +614,7 @@ fn admit(
     // Quota before any per-operand work: refusals must stay cheap.
     if let (Some(buckets), Some(ip)) = (buckets.as_ref(), peer_ip) {
         if !buckets.admit(ip) {
-            metrics.record_net_quota_limited();
+            metrics.net_quota_limited.add(1);
             return Admission::Immediate(ReplyFrame::control(Status::Quota, code::NONE, client_id));
         }
     }
@@ -627,14 +627,14 @@ fn admit(
         let floor_secs =
             modeled_batch_cycles(frame.function, frame.codes.len()) as f64 / PAPER_CLOCK_HZ;
         if budget.as_secs_f64() < floor_secs {
-            metrics.record_net_request_shed();
+            metrics.net_requests_shed.add(1);
             return Admission::Immediate(ReplyFrame::control(Status::Shed, code::NONE, client_id));
         }
     }
     let operands = match frame.operands() {
         Ok(operands) => operands,
         Err(_) => {
-            metrics.record_net_protocol_error();
+            metrics.net_protocol_errors.add(1);
             return Admission::Immediate(ReplyFrame::control(
                 Status::Error,
                 code::PROTOCOL,
@@ -681,7 +681,7 @@ fn encode_completion(
             return;
         }
         Err(WaitError::DeadlineExpired) => {
-            metrics.record_net_request_shed();
+            metrics.net_requests_shed.add(1);
             (Status::Shed, code::NONE)
         }
         Err(WaitError::EngineShutDown) => (Status::Error, code::SHUTTING_DOWN),

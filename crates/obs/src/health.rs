@@ -307,6 +307,16 @@ impl HealthMonitor {
         alarm
     }
 
+    /// Drift alarms raised across every monitored function (one relaxed
+    /// load per function).
+    #[must_use]
+    pub fn total_alarms(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|slot| slot.alarms.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Whether any drift alarm has ever fired (sticky; `/health` keys
     /// off this).
     #[must_use]

@@ -13,9 +13,11 @@
 //! ```
 //!
 //! Like the observability trace ring, the recorder is bounded and
-//! drop-counted: when every slot is occupied, [`Recorder::begin`] counts
-//! the request in `dropped` and declines to record it (the request is
-//! still served normally — recording never sheds load). Slot buffers are
+//! drop-counted: when every slot is occupied, [`Recorder::begin`]
+//! declines to record the request, and the engine counts it with
+//! [`Recorder::count_dropped`] once the request is admitted (it is still
+//! served normally — recording never sheds load; a submission the queue
+//! refuses is not a dropped record). Slot buffers are
 //! reused across requests (`clear()` + `extend()`), so the steady-state
 //! record path allocates nothing once the ring has warmed up.
 //!
@@ -117,11 +119,17 @@ impl Recorder {
         self.format
     }
 
-    /// Requests that could not be recorded because their slot was still
-    /// occupied (ring full of undrained or in-flight records).
+    /// Admitted requests that could not be recorded because their slot
+    /// was still occupied (ring full of undrained or in-flight records).
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Counts one admitted request that [`Recorder::begin`] declined to
+    /// record.
+    pub fn count_dropped(&self) {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records completed (request and response both captured).
@@ -134,7 +142,7 @@ impl Recorder {
     /// submitting client's connection id (`conn`, 0 for in-process) and
     /// a submit stamp measured against the recorder's epoch included.
     /// Returns the slot token to carry on the job, or [`NO_RECORD_SLOT`]
-    /// (counted in [`Recorder::dropped`]) when the ring is saturated.
+    /// when the ring is saturated (see [`Recorder::count_dropped`]).
     pub fn begin<I>(
         &self,
         id: u64,
@@ -153,8 +161,6 @@ impl Recorder {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if slot.state != SlotState::Empty {
-            drop(slot);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
             return NO_RECORD_SLOT;
         }
         slot.state = SlotState::Pending;
@@ -282,6 +288,11 @@ mod tests {
         // slots) are dropped, not recorded.
         assert_eq!(r.begin(3, Function::Sigmoid, 0, 0, [3]), NO_RECORD_SLOT);
         assert_eq!(r.begin(4, Function::Sigmoid, 0, 0, [4]), NO_RECORD_SLOT);
+        // A declined claim is not yet a drop: the caller counts it once
+        // the request is admitted.
+        assert_eq!(r.dropped(), 0);
+        r.count_dropped();
+        r.count_dropped();
         assert_eq!(r.dropped(), 2);
         // Completing and draining frees the slots again.
         assert!(r.complete(a, [10]));

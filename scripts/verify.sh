@@ -59,6 +59,16 @@ stage obs-smoke cargo run --release --offline -q -p nacu-bench --bin obs_smoke -
     --trace "${LOG_DIR}/obs_trace.json" \
     --drift-prom "${LOG_DIR}/obs_drift.prom"
 
+# Exposition names: the `# TYPE` lines of the metrics export must match
+# the committed ci/METRICS_names.txt exactly (names and order), so a
+# counter refactor cannot silently rename, drop or reorder a metric.
+metrics_names() {
+    cargo run --release --offline -q -p nacu-bench --bin metrics_export -- \
+        --smoke --prom "${LOG_DIR}/metrics_pr.prom" > /dev/null &&
+        grep '^# TYPE' "${LOG_DIR}/metrics_pr.prom" | diff ci/METRICS_names.txt -
+}
+stage metrics-names metrics_names
+
 # SLO smoke: windowed-telemetry plane end to end — the background
 # sampler must cost ≤ 3% throughput, a latency-spike + expired-deadline
 # storm must flip /slo to 503 with both burn-rate alarms active
