@@ -13,7 +13,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use nacu::{Function, NacuConfig};
-use nacu_engine::executor::{BatchExecutor, ScalarGather};
 use nacu_engine::{
     Engine, EngineConfig, LatencyBudget, Request, SloSpec, Stage, SubmitError, ThroughputReport,
 };
@@ -239,225 +238,6 @@ pub fn telemetry_overhead(workload: Workload, interval: Duration, trials: usize)
     }
 }
 
-/// One function's fast-path-versus-datapath throughput measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct FastPathRow {
-    /// Function under load.
-    pub function: Function,
-    /// Best throughput with the response-table fast path enabled, ops/s.
-    pub fast_ops_per_sec: f64,
-    /// Best throughput with the fast path disabled (datapath only), ops/s.
-    pub datapath_ops_per_sec: f64,
-    /// Fast-path operands actually served from the tables in the fast run.
-    pub fast_path_ops: u64,
-}
-
-impl FastPathRow {
-    /// Throughput multiple of the table fast path over the datapath.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.datapath_ops_per_sec <= 0.0 {
-            return 0.0;
-        }
-        self.fast_ops_per_sec / self.datapath_ops_per_sec
-    }
-}
-
-/// Measures `workload` per function with the response-table fast path on
-/// and off — same pool shape, same operands — keeping each side's best
-/// of `trials` interleaved runs. The `fast_path_ops` counter in the row
-/// proves the fast side really served from the tables (not a silently
-/// degraded datapath run).
-///
-/// # Panics
-///
-/// Panics if the paper configuration fails to validate (it never does).
-#[must_use]
-pub fn fast_path_comparison(
-    functions: &[Function],
-    workload: Workload,
-    trials: usize,
-) -> Vec<FastPathRow> {
-    functions
-        .iter()
-        .map(|&function| {
-            let workload = Workload {
-                function,
-                ..workload
-            };
-            let mut fast_ops_per_sec = 0.0f64;
-            let mut datapath_ops_per_sec = 0.0f64;
-            let mut fast_path_ops = 0u64;
-            for _ in 0..trials.max(1) {
-                for fast in [false, true] {
-                    let engine = Engine::new(
-                        EngineConfig::new(NacuConfig::paper_16bit())
-                            .with_workers(2)
-                            .with_queue_capacity(512)
-                            .with_max_coalesced_requests(32)
-                            .with_fast_path(fast),
-                    )
-                    .expect("paper config");
-                    let row = drive(&engine, workload);
-                    if fast {
-                        fast_ops_per_sec = fast_ops_per_sec.max(row.ops_per_sec);
-                        let m = engine.metrics();
-                        fast_path_ops = fast_path_ops.max(m.fast_path_ops);
-                    } else {
-                        datapath_ops_per_sec = datapath_ops_per_sec.max(row.ops_per_sec);
-                    }
-                    engine.shutdown();
-                }
-            }
-            FastPathRow {
-                function,
-                fast_ops_per_sec,
-                datapath_ops_per_sec,
-                fast_path_ops,
-            }
-        })
-        .collect()
-}
-
-/// Single-thread memcpy bandwidth in GiB/s (bytes *copied* per second;
-/// the bus moves twice that in read+write traffic). `mib`-MiB buffers,
-/// best of `trials` — the streaming ceiling any table-gather fast path
-/// is ultimately bounded by, printed next to the fast-path rows so the
-/// EXPERIMENTS table can show headroom honestly.
-///
-/// # Panics
-///
-/// Panics only on allocation failure.
-#[must_use]
-pub fn memcpy_bandwidth_gbps(mib: usize, trials: usize) -> f64 {
-    let bytes = mib.max(1) * (1 << 20);
-    let src = vec![0x5au8; bytes];
-    let mut dst = vec![0u8; bytes];
-    let mut best = 0.0f64;
-    for _ in 0..trials.max(1) {
-        let started = Instant::now();
-        dst.copy_from_slice(std::hint::black_box(&src));
-        let secs = started.elapsed().as_secs_f64();
-        std::hint::black_box(&dst);
-        if secs > 0.0 {
-            best = best.max(bytes as f64 / secs / (1u64 << 30) as f64);
-        }
-    }
-    best
-}
-
-/// Bare gather-executor throughput, no engine around it: one thread
-/// re-fills a `batch`-operand buffer from a pristine ramp and runs the
-/// [`ScalarGather`] executor over it, best of `trials`. This is the ceiling the
-/// in-engine fast path chases — the gap between this number and the
-/// served ops/s is queueing, coalescing and ticket overhead, not gather
-/// cost.
-///
-/// # Panics
-///
-/// Panics if the paper configuration fails to validate (it never does).
-#[must_use]
-pub fn gather_ceiling_ops_per_sec(batch: usize, trials: usize) -> f64 {
-    let nacu = nacu::Nacu::new(NacuConfig::paper_16bit()).expect("paper config");
-    let tables = nacu::ResponseTables::build(&nacu).expect("16-bit fits the table budget");
-    let table = tables.get(Function::Sigmoid).expect("unary function");
-    let executor = ScalarGather::new(table);
-    let src = operand_ramp(nacu.config().format, batch.max(1));
-    let mut xs = src.clone();
-    // Enough passes per timing window to outlast timer granularity.
-    let iters = (1 << 22) / src.len().max(1);
-    let mut best = 0.0f64;
-    for _ in 0..trials.max(1) {
-        let started = Instant::now();
-        for _ in 0..iters.max(1) {
-            xs.copy_from_slice(&src);
-            executor
-                .execute(std::hint::black_box(&mut xs))
-                .expect("the table gather is infallible");
-        }
-        let secs = started.elapsed().as_secs_f64();
-        std::hint::black_box(&xs);
-        if secs > 0.0 {
-            best = best.max((iters.max(1) * src.len()) as f64 / secs);
-        }
-    }
-    best
-}
-
-/// Raw submit-queue throughput: `producers` threads pushing keyed items
-/// through a [`nacu_engine::queue::BoundedQueue`] against `consumers`
-/// batch-popping threads, measured in items/s. This is the queue in
-/// isolation — no NACU arithmetic — so it tracks the lock-free ring's
-/// handoff cost alone.
-///
-/// # Panics
-///
-/// Panics if a queue thread dies or an item is lost (both are bugs).
-#[must_use]
-pub fn queue_throughput(producers: usize, consumers: usize, items_per_producer: usize) -> f64 {
-    use nacu_engine::queue::{BoundedQueue, Coalesce, PushError};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    struct Keyed(u32);
-    impl Coalesce for Keyed {
-        fn coalesce_key(&self) -> u32 {
-            self.0
-        }
-    }
-
-    let queue = BoundedQueue::<Keyed>::new(256);
-    let accepted = AtomicU64::new(0);
-    let popped = AtomicU64::new(0);
-    let total = (producers.max(1) * items_per_producer) as u64;
-    let started = Instant::now();
-    thread::scope(|scope| {
-        for _ in 0..producers.max(1) {
-            let queue = &queue;
-            let accepted = &accepted;
-            scope.spawn(move || {
-                for i in 0..items_per_producer {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let mut pending = Keyed((i % 3) as u32);
-                    loop {
-                        match queue.try_push(pending) {
-                            Ok(_) => break,
-                            Err(PushError::Full(back)) => {
-                                pending = back;
-                                thread::yield_now();
-                            }
-                            Err(PushError::Closed(_)) => panic!("queue closed mid-bench"),
-                        }
-                    }
-                }
-                if accepted.fetch_add(items_per_producer as u64, Ordering::AcqRel)
-                    + items_per_producer as u64
-                    == total
-                {
-                    queue.close();
-                }
-            });
-        }
-        for _ in 0..consumers.max(1) {
-            let queue = &queue;
-            let popped = &popped;
-            scope.spawn(move || {
-                let mut batch = Vec::new();
-                while queue.pop_batch_into(32, &mut batch) {
-                    popped.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    batch.clear();
-                }
-            });
-        }
-    });
-    let wall = started.elapsed().as_secs_f64();
-    assert_eq!(popped.load(Ordering::Relaxed), total, "queue lost items");
-    if wall > 0.0 {
-        total as f64 / wall
-    } else {
-        0.0
-    }
-}
-
 /// Runs the scaling sweep: one engine per worker count, same workload.
 ///
 /// # Panics
@@ -543,38 +323,6 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!((rows[0].speedup - 1.0).abs() < 1e-9);
         assert!(rows[1].speedup > 0.0);
-    }
-
-    #[test]
-    fn fast_path_comparison_measures_both_sides_and_proves_table_service() {
-        let rows = fast_path_comparison(&[Function::Sigmoid], tiny(), 1);
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert!(row.fast_ops_per_sec > 0.0);
-        assert!(row.datapath_ops_per_sec > 0.0);
-        // The fast side really ran on the tables: 16 requests × 8 operands.
-        assert_eq!(row.fast_path_ops, 16 * 8);
-        assert!(row.speedup() > 0.0);
-    }
-
-    #[test]
-    fn memcpy_bandwidth_is_positive_and_finite() {
-        let gbps = memcpy_bandwidth_gbps(4, 2);
-        assert!(gbps > 0.0 && gbps.is_finite());
-    }
-
-    #[test]
-    fn gather_ceiling_is_positive_and_finite() {
-        let rate = gather_ceiling_ops_per_sec(256, 1);
-        assert!(rate > 0.0 && rate.is_finite());
-    }
-
-    #[test]
-    fn queue_throughput_moves_every_item() {
-        // The items/s figure is asserted internally (popped == total);
-        // here we only need it to be finite and positive.
-        let rate = queue_throughput(2, 2, 2_000);
-        assert!(rate > 0.0 && rate.is_finite());
     }
 
     #[test]

@@ -78,8 +78,8 @@ impl CampaignConfig {
     }
 
     /// CI smoke shape: strided bits/entries and a short workload, same
-    /// code paths, a few hundred trials. Keeps the bench-regression job
-    /// honest without dominating its wall clock.
+    /// code paths, a few hundred trials. Keeps the CI and local smoke
+    /// stages honest without dominating their wall clock.
     #[must_use]
     pub fn smoke() -> Self {
         Self {

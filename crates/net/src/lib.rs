@@ -47,8 +47,9 @@ pub trait ServeNet {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure, or `InvalidInput` for engine
-    /// formats wider than the wire's 16-bit codes.
+    /// As [`serve`]: the bind failure, `InvalidInput` for engine
+    /// formats wider than the wire's 16-bit codes, or a thread-spawn
+    /// failure.
     fn serve_net(&self, addr: impl std::net::ToSocketAddrs) -> std::io::Result<NetServer>;
 
     /// As [`ServeNet::serve_net`] with explicit tunables.

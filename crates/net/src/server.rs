@@ -283,10 +283,30 @@ struct DispatcherPool {
 }
 
 impl DispatcherPool {
-    fn start(count: usize, metrics: &Arc<EngineMetrics>) -> Self {
+    /// Starts `count` dispatchers (at least one).
+    ///
+    /// # Errors
+    ///
+    /// The first thread-spawn failure. The dispatchers already started
+    /// are stopped and joined first, so no shard is left without a
+    /// driver for readers to route tickets to.
+    fn start(count: usize, metrics: &Arc<EngineMetrics>) -> std::io::Result<Self> {
+        Self::start_with(count, metrics, |_| thread::Builder::new())
+    }
+
+    /// [`DispatcherPool::start`], spawning dispatcher `index` from
+    /// `builder(index)`.
+    fn start_with(
+        count: usize,
+        metrics: &Arc<EngineMetrics>,
+        builder: impl Fn(usize) -> thread::Builder,
+    ) -> std::io::Result<Self> {
         let count = count.max(1);
-        let mut shards = Vec::with_capacity(count);
-        let mut threads = Vec::with_capacity(count);
+        let mut pool = Self {
+            shards: Vec::with_capacity(count),
+            next: AtomicUsize::new(0),
+            threads: Mutex::new(Vec::with_capacity(count)),
+        };
         for index in 0..count {
             let set = CompletionSet::new().with_metrics(Arc::clone(metrics));
             let shard = Arc::new(Shard {
@@ -296,20 +316,23 @@ impl DispatcherPool {
                 }),
                 notifier: set.notifier(),
             });
-            shards.push(Arc::clone(&shard));
+            let driven = Arc::clone(&shard);
             let metrics = Arc::clone(metrics);
-            if let Ok(thread) = thread::Builder::new()
+            match builder(index)
                 .name(format!("nacu-net-dispatch-{index}"))
-                .spawn(move || dispatcher_loop(&shard, set, &metrics))
+                .spawn(move || dispatcher_loop(&driven, set, &metrics))
             {
-                threads.push(thread);
+                Ok(thread) => {
+                    pool.shards.push(shard);
+                    pool.threads.lock().expect("threads lock").push(thread);
+                }
+                Err(e) => {
+                    pool.shutdown();
+                    return Err(e);
+                }
             }
         }
-        Self {
-            shards,
-            next: AtomicUsize::new(0),
-            threads: Mutex::new(threads),
-        }
+        Ok(pool)
     }
 
     /// Routes one admitted ticket to a dispatcher. `Err` means the pool
@@ -389,8 +412,9 @@ fn dispatcher_loop(shard: &Arc<Shard>, mut set: CompletionSet, metrics: &Arc<Eng
 ///
 /// # Errors
 ///
-/// The bind failure from [`TcpListener::bind`], or `InvalidInput` when
-/// the engine's format is wider than the wire's 16-bit codes.
+/// The bind failure from [`TcpListener::bind`], `InvalidInput` when
+/// the engine's format is wider than the wire's 16-bit codes, or a
+/// failure to spawn a server thread (nothing is left running then).
 pub fn serve(
     handle: &EngineHandle,
     addr: impl ToSocketAddrs,
@@ -412,7 +436,7 @@ pub fn serve(
             by_ip: Mutex::new(HashMap::new()),
         })
     });
-    let dispatchers = Arc::new(DispatcherPool::start(config.dispatchers, &metrics));
+    let dispatchers = Arc::new(DispatcherPool::start(config.dispatchers, &metrics)?);
     let accept_thread = {
         let stop = Arc::clone(&stop);
         let handle = handle.clone();
@@ -430,8 +454,9 @@ pub fn serve(
                     &dispatchers,
                     &stop,
                 );
-            })?
+            })
     };
+    let accept_thread = accept_thread.inspect_err(|_| dispatchers.shutdown())?;
     Ok(NetServer {
         addr,
         stop,
@@ -745,11 +770,11 @@ mod tests {
     #[test]
     fn dispatcher_pool_drains_in_flight_work_on_shutdown() {
         let metrics = Arc::new(EngineMetrics::new());
-        let pool = DispatcherPool::start(2, &metrics);
+        let pool = DispatcherPool::start(2, &metrics).expect("spawn");
         // A pool with nothing in flight shuts down without hanging.
         pool.shutdown();
 
-        let pool = DispatcherPool::start(1, &metrics);
+        let pool = DispatcherPool::start(1, &metrics).expect("spawn");
         pool.shards[0].inbox.lock().expect("inbox lock").closed = true;
         let (ticket, _completer) = Ticket::detached(1);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -761,5 +786,26 @@ mod tests {
         };
         assert!(pool.submit(entry).is_err(), "closed shard refuses routes");
         pool.shutdown();
+    }
+
+    /// A dispatcher that fails to spawn fails the whole start, and the
+    /// dispatchers already running are stopped and joined: none is left
+    /// parked on a shard that readers could still route tickets to.
+    #[test]
+    fn dispatcher_spawn_failure_stops_the_started_dispatchers() {
+        let metrics = Arc::new(EngineMetrics::new());
+        let started = DispatcherPool::start_with(3, &metrics, |index| {
+            let builder = thread::Builder::new();
+            // No 64-bit address space maps a 1 PiB stack.
+            if index == 1 {
+                builder.stack_size(1 << 50)
+            } else {
+                builder
+            }
+        });
+        assert!(started.is_err(), "the failed spawn is reported");
+        // Dispatcher 0 held two clones of `metrics`; once it is joined,
+        // only the test's own reference is left.
+        assert_eq!(Arc::strong_count(&metrics), 1);
     }
 }

@@ -49,6 +49,21 @@ stage clippy cargo clippy --workspace --all-targets --offline -- -D warnings
 stage servebench-build env CARGO_TARGET_DIR=target/servebench \
     cargo build --release --offline --manifest-path servebench/Cargo.toml
 
+# Self-test of the paired performance gate's verdict (scripts/paired_bench.py)
+# over synthetic pair tables; stdlib only, runs no benchmark.
+stage paired-bench-selftest python3 scripts/test_paired_bench.py
+
+# Zero-drift accuracy gate: the golden error tables must match the
+# committed baseline to 0 LSB.
+stage accuracy-gate cargo run --release --offline -q -p nacu-bench --bin accuracy_gate -- \
+    --baseline ci/ACCURACY_baseline.json
+
+# Fault campaign (strided smoke shape): exits non-zero when single-bit
+# LUT detection coverage falls below 99%. The record lands next to the
+# stage logs.
+stage fault-campaign cargo run --release --offline -q -p nacu-bench --bin fault_campaign -- \
+    --smoke --out "${LOG_DIR}/campaign_pr.json"
+
 # Observability smoke: shadow-sampling overhead gate, a live /metrics
 # scrape over a real TCP socket, and the injected-drift /health demo.
 # The scrape artifacts land next to the stage logs.
