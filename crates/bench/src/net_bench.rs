@@ -282,7 +282,10 @@ pub fn admission_demo() -> AdmissionDemo {
         let handle = engine.handle();
         let mut client = NetClient::connect(server.addr()).expect("connect");
         let small = operand_ramp(fmt, 8);
-        let pin = operand_ramp(fmt, 200_000);
+        // Sized for the compiled walk (~15 ns per softmax operand): the
+        // pin holds the worker for tens of ms and each filler for a few,
+        // longer than a probe's round trip on a loaded host.
+        let pin = operand_ramp(fmt, 2_000_000);
         let pinned = handle
             .submit(Request::new(Function::Softmax, pin))
             .expect("pin the worker");
@@ -290,7 +293,7 @@ pub fn admission_demo() -> AdmissionDemo {
         'provoke: for _ in 0..100 {
             // Top up the queue; Busy here means it is already full.
             while fillers.len() < 64 {
-                match handle.submit(Request::new(Function::Softmax, operand_ramp(fmt, 20_000))) {
+                match handle.submit(Request::new(Function::Softmax, operand_ramp(fmt, 200_000))) {
                     Ok(ticket) => fillers.push(ticket),
                     Err(SubmitError::Busy { .. }) => break,
                     Err(e) => panic!("unexpected refusal while provoking BUSY: {e}"),

@@ -19,6 +19,9 @@
 //! ([`nacu_fixed::Fx`]), so its outputs are bit-identical to an RTL
 //! simulation of the same micro-architecture; every error figure in the
 //! paper's §VII can be measured directly against it.
+//! [`CompiledNacu`] serves the same bits from per-segment constants,
+//! `i64` arithmetic and integer division, for callers that need no fault
+//! hooks (the serving engine and the response-table builder).
 //!
 //! # Quickstart
 //!
@@ -38,6 +41,7 @@
 
 pub mod bias;
 pub mod bounds;
+pub mod compiled;
 pub mod config;
 pub mod datapath;
 pub mod divider;
@@ -51,6 +55,7 @@ pub mod verilog;
 
 mod error;
 
+pub use compiled::CompiledNacu;
 pub use config::{Function, NacuConfig};
 pub use datapath::Nacu;
 pub use error::NacuError;

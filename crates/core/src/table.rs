@@ -10,12 +10,13 @@
 //! of a segment select, a Fig. 3 bias transform and (for exp) a restoring
 //! division.
 //!
-//! Bit-identity is **by construction**, not by approximation: the builder
-//! runs the golden [`Nacu`] datapath once over every input code and
-//! stores the raw output codes verbatim. A table lookup therefore cannot
-//! disagree with the datapath — the exhaustive equivalence tests in this
-//! module and in `nacu-engine` merely re-verify what the construction
-//! already guarantees.
+//! Bit-identity rests on **exhaustive proof**: the builder evaluates the
+//! [`CompiledNacu`] walk once over every input code and stores the raw
+//! output codes verbatim, and the compiled walk is proven equal to the
+//! golden [`Nacu`] on every code at every width 8–21
+//! (`tests/compiled_identity.rs`). The exhaustive table-vs-datapath
+//! tests in this module and in `nacu-engine` check the tables against
+//! [`Nacu::compute`] directly.
 //!
 //! Memory cost: 2 bytes per code per function — 128 KiB per function and
 //! 384 KiB for all three at the paper's 16-bit format, proportionally
@@ -26,6 +27,7 @@
 
 use nacu_fixed::{Fx, QFormat, RawCode};
 
+use crate::compiled::CompiledNacu;
 use crate::config::Function;
 use crate::datapath::Nacu;
 
@@ -40,16 +42,13 @@ pub struct ResponseTable {
 }
 
 impl ResponseTable {
-    /// Tabulates `function` by evaluating the golden datapath at every
+    /// Tabulates `function` by evaluating the compiled datapath at every
     /// one of the format's `2^N` input codes.
-    fn build(nacu: &Nacu, function: Function) -> Self {
-        let format = nacu.config().format;
+    fn build(unit: &CompiledNacu, function: Function) -> Self {
+        let format = unit.format();
         let codes: Box<[i16]> = format
             .raw_codes()
-            .map(|raw| {
-                let x = Fx::from_raw_saturating(raw, format);
-                nacu.compute(function, x).raw() as i16
-            })
+            .map(|raw| unit.compute(function, raw) as i16)
             .collect();
         // The batch-gather entry points below rely on the exact-2^N size
         // to make masked indexing a no-op (see `index_mask`).
@@ -155,18 +154,19 @@ impl ResponseTables {
     /// artefact, so wide configurations keep the datapath.
     pub const MAX_TABLE_BITS: u32 = 16;
 
-    /// Builds σ/tanh/exp tables from the golden datapath, or `None` when
-    /// the format is wider than [`Self::MAX_TABLE_BITS`].
+    /// Builds σ/tanh/exp tables from `nacu`'s compiled datapath, or
+    /// `None` when the format is wider than [`Self::MAX_TABLE_BITS`].
     #[must_use]
     pub fn build(nacu: &Nacu) -> Option<Self> {
         let format = nacu.config().format;
         if format.total_bits() > Self::MAX_TABLE_BITS {
             return None;
         }
+        let unit = CompiledNacu::new(nacu).expect("a tabulated format compiles");
         Some(Self {
-            sigmoid: ResponseTable::build(nacu, Function::Sigmoid),
-            tanh: ResponseTable::build(nacu, Function::Tanh),
-            exp: ResponseTable::build(nacu, Function::Exp),
+            sigmoid: ResponseTable::build(&unit, Function::Sigmoid),
+            tanh: ResponseTable::build(&unit, Function::Tanh),
+            exp: ResponseTable::build(&unit, Function::Exp),
             format,
         })
     }

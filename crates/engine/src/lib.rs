@@ -144,9 +144,9 @@ pub struct EngineConfig {
     /// bound (0 disables sampling entirely).
     pub health_sample_every: u64,
     /// Serve unary batches from precomputed response tables
-    /// ([`nacu::ResponseTables`], built once by the golden datapath at
+    /// ([`nacu::ResponseTables`], built once by the compiled datapath at
     /// engine start) instead of walking the datapath per operand.
-    /// Bit-identical by construction; engages only when the format fits
+    /// Bit-identical by exhaustive proof; engages only when the format fits
     /// the table budget (≤ [`nacu::ResponseTables::MAX_TABLE_BITS`] bits)
     /// and, per worker, only on slots with no injected fault plan.
     pub use_fast_path: bool,
@@ -802,7 +802,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Result<Self, NacuError> {
         let probe = Nacu::new(config.nacu)?;
         let format = probe.config().format;
-        // The probe doubles as the table builder: the golden datapath
+        // The probe doubles as the table builder: its compiled datapath
         // computes every 2^N response code once, here, and the workers
         // share the result behind one `Arc`. `build` returns `None` past
         // the table budget, leaving wide formats on the datapath.

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nacu::{NacuConfig, ResponseTables};
+use nacu::{Function, NacuConfig, ResponseTables};
 use nacu_faults::{CheckedError, CheckedNacu, FaultEvent};
 use nacu_fixed::Fx;
 use nacu_obs::{Obs, Stage, TraceKind};
@@ -135,8 +135,9 @@ fn run_worker(worker: usize, shared: &PoolShared) {
         .with_detectors(shared.fault.detectors);
     // Fast-path eligibility is per worker slot: a slot configured with an
     // injected fault plan must walk the real datapath so the parity /
-    // residue detectors see real nets — its tables are simply withheld.
-    // (The scrub below always walks the real ROM regardless.)
+    // residue detectors see real nets — its tables are simply withheld,
+    // and `with_plan` has dropped its unit's compiled walk. (The scrub
+    // below always walks the real ROM regardless.)
     let tables = if shared.fault.plan_for(worker).is_empty() {
         shared.tables.as_deref()
     } else {
@@ -245,20 +246,30 @@ fn quarantine(worker: usize, event: FaultEvent, jobs: Vec<Job>, shared: &PoolSha
     }
 }
 
+/// Runs an infallible executor over every live job's operand buffer.
+fn serve_in_place(executor: &impl BatchExecutor, live: &mut [Job]) {
+    for job in live {
+        executor
+            .execute(&mut job.request.operands.raw)
+            .expect("a fault-free executor raises no fault event");
+    }
+}
+
 /// Serves one coalesced batch from the `jobs` scratch buffer, using
 /// `live` as the post-expiry scratch (both are drained on return, so the
 /// caller can reuse them allocation-free). On a detector event, returns
 /// the batch's still-unanswered jobs so the caller can re-route them —
 /// partial results from the flagged unit are discarded, never sent.
 ///
-/// When `tables` is given, σ/tanh/exp are served through the
-/// [`ScalarGather`] table executor — bit-identical by construction
-/// (the tables were built by the golden datapath) and infallible, so
-/// outputs overwrite the request's operand buffer in place and the
-/// buffer itself becomes the response: the fast path allocates nothing
-/// per operand or per request. Softmax keeps the datapath divider and
-/// draws its exp stage from the table. Without tables, the
-/// [`DatapathWalk`] executor computes into fresh buffers so a mid-batch
+/// A fault-free worker (its unit carries a compiled walk) serves σ/tanh/exp
+/// in place: through the [`ScalarGather`] table executor when `tables`
+/// is given, else through the compiled [`DatapathWalk`]. Both are
+/// infallible and proven bit-identical to the golden datapath, so
+/// outputs overwrite the request's operand buffer and the buffer itself
+/// becomes the response: nothing is allocated per operand or per
+/// request. Softmax runs the compiled two-pass schedule in place, with
+/// its exp stage from the table when there is one. A fault-planned
+/// worker walks the checked nets into fresh buffers, so a mid-batch
 /// detector event leaves every operand buffer pristine for the retry
 /// path.
 ///
@@ -357,24 +368,21 @@ fn serve_batch(
             }
         }
         let service_start = Instant::now();
-        // `None` = fast path served in place; `Some` = datapath outputs,
-        // one fresh buffer per job (kept fresh so retries see pristine
+        // `None` = served in place; `Some` = checked-walk outputs, one
+        // fresh buffer per job (kept fresh so retries see pristine
         // operands after a mid-batch detector event).
         let outputs_per_job = if let Some(table) = tables.and_then(|t| t.get(function)) {
-            // Fast path: the table gather rewrites each operand buffer
-            // in place. Infallible — the table carries the golden
-            // datapath's own answers.
-            let gather = ScalarGather::new(table);
-            for job in live.iter_mut() {
-                gather
-                    .execute(&mut job.request.operands.raw)
-                    .expect("the table gather is infallible");
-            }
+            serve_in_place(&ScalarGather::new(table), live);
             metrics.fast_path_ops.add(batch_ops as u64);
             None
+        } else if unit.compiled().is_some() {
+            // No fault plan: the walk runs the compiled datapath, which
+            // has no detector to fire.
+            serve_in_place(&DatapathWalk::new(unit, function), live);
+            None
         } else {
-            // Datapath walk through the worker's checked unit, into a
-            // fresh copy of each operand buffer; a detector event
+            // Checked walk through the worker's fault-planned unit, into
+            // a fresh copy of each operand buffer; a detector event
             // discards the batch's partial outputs and leaves every
             // request pristine for the retry path.
             let walk = DatapathWalk::new(unit, function);
@@ -453,7 +461,7 @@ fn serve_batch(
             }));
         };
         match outputs_per_job {
-            // Fast path: the operand buffer, overwritten in place, IS the
+            // Served in place: the overwritten operand buffer IS the
             // response — no buffer changes hands, nothing is allocated.
             None => {
                 for mut job in live.drain(..) {
@@ -482,31 +490,39 @@ fn serve_batch(
                 ops: n as u32,
             });
             let service_start = Instant::now();
-            // The vector datapath takes `Fx` values: rebuild the one
-            // vector from its codes, clamped like the datapath walk's
-            // operands so a code outside the format is never walked.
-            let format = job.request.operands.format;
-            let vector: Vec<_> = job
-                .request
-                .operands
-                .raw
-                .iter()
-                .map(|&code| Fx::from_raw_saturating(code, format))
-                .collect();
-            let outputs = if let Some(table) = exp_table {
-                // Table-served exp stage feeding the unchanged divider
-                // passes — bit-identical because the post-exp work-format
-                // resize is exact for values in [0, 1]. Infallible: the
-                // golden unit has no detectors to trip.
-                let outputs = unit
-                    .golden()
-                    .softmax_with(&vector, |x| table.lookup(x))
-                    .expect("submit validated the vector");
-                metrics.fast_path_ops.add(n as u64);
-                outputs
+            if let Some(compiled) = unit.compiled() {
+                // Fault-free: the compiled two-pass softmax rewrites the
+                // request's codes in place, its exp stage from the table
+                // when the format is tabulated.
+                let codes = &mut job.request.operands.raw;
+                let served = match exp_table {
+                    Some(table) => compiled.softmax_in_place(codes, |d| table.lookup_in_place(d)),
+                    None => compiled
+                        .softmax_in_place(codes, |d| compiled.compute_in_place(Function::Exp, d)),
+                };
+                served.expect("submit validated the vector");
+                if exp_table.is_some() {
+                    metrics.fast_path_ops.add(n as u64);
+                }
             } else {
+                // The checked vector datapath takes `Fx` values: rebuild
+                // the vector from its codes, clamped like the datapath
+                // walk's operands so a code outside the format is never
+                // walked.
+                let format = job.request.operands.format;
+                let vector: Vec<_> = job
+                    .request
+                    .operands
+                    .raw
+                    .iter()
+                    .map(|&code| Fx::from_raw_saturating(code, format))
+                    .collect();
                 match unit.softmax(&vector) {
-                    Ok(outputs) => outputs,
+                    Ok(outputs) => {
+                        for (code, y) in job.request.operands.raw.iter_mut().zip(&outputs) {
+                            *code = y.raw();
+                        }
+                    }
                     Err(CheckedError::Fault(event)) => {
                         return Err((event, live.drain(index..).collect()));
                     }
@@ -514,7 +530,7 @@ fn serve_batch(
                         unreachable!("submit validated the vector: {e}")
                     }
                 }
-            };
+            }
             let service_ns = as_ns(service_start.elapsed());
             obs.record_latency(Stage::BatchService, function, service_ns);
             obs.cycles().record_batch(
@@ -531,12 +547,9 @@ fn serve_batch(
                 service_ns,
             });
             metrics.record_batch(1);
-            // The request's code buffer becomes the response: the outputs
-            // share the operands' format (§III), so only codes change.
-            let mut codes = std::mem::take(&mut job.request.operands);
-            for (code, y) in codes.raw.iter_mut().zip(&outputs) {
-                *code = y.raw();
-            }
+            // The request's code buffer, overwritten above, becomes the
+            // response: the outputs share the operands' format (§III).
+            let codes = std::mem::take(&mut job.request.operands);
             record_reply(shared, job.record, &codes);
             let e2e_ns = as_ns(job.submitted_at.elapsed());
             // Tagged so a tail-bucket request leaves an exemplar carrying
@@ -571,7 +584,6 @@ fn serve_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nacu::Function;
     use nacu_faults::{DetectorSet, Fault, FaultPlan, InjectionSite};
     use nacu_fixed::Rounding;
 
@@ -687,6 +699,45 @@ mod tests {
         assert_eq!(m.fast_path_ops, xs.len() as u64);
     }
 
+    /// Past the table budget a fault-free worker walks the compiled
+    /// datapath in place, scalar and softmax alike, bit-identical to the
+    /// golden unit; none of it counts as table-served.
+    #[test]
+    fn untabulated_formats_walk_the_compiled_datapath() {
+        let mut s = shared(Vec::new(), 1);
+        Arc::get_mut(&mut s).expect("sole owner").config =
+            NacuConfig::for_width(20).expect("Eq. 7 holds at 20 bits");
+        let unit = CheckedNacu::new(s.config).expect("valid config");
+        assert!(unit.compiled().is_some());
+        let golden = unit.golden();
+        let fmt = s.config.format;
+        let (a, a_rx) = job(&s, 0.25);
+        let (b, b_rx) = job(&s, -1.5);
+        serve(0, &unit, None, vec![a, b], &s).expect("infallible compiled walk");
+        for (rx, v) in [(a_rx, 0.25), (b_rx, -1.5)] {
+            let response = rx.try_wait().expect("reply").expect("served");
+            let x = Fx::from_f64(v, fmt, Rounding::Nearest);
+            assert!(response.outputs.iter().eq([golden.sigmoid(x)]));
+        }
+        let xs = [-2.0, 0.5, 3.25, -0.125].map(|v| Fx::from_f64(v, fmt, Rounding::Nearest));
+        let (ticket, reply) = crate::wake::pair(0);
+        let j = Job {
+            id: 0,
+            request: Request::new(Function::Softmax, xs),
+            reply,
+            retries: 0,
+            submitted_at: Instant::now(),
+            record: nacu_replay::NO_RECORD_SLOT,
+        };
+        serve(0, &unit, None, vec![j], &s).expect("infallible compiled softmax");
+        let response = ticket.try_wait().expect("reply").expect("served");
+        assert!(response
+            .outputs
+            .iter()
+            .eq(golden.softmax(&xs).expect("valid vector")));
+        assert_eq!(s.metrics.snapshot().fast_path_ops, 0);
+    }
+
     /// Deterministic unit test of the retry path: a faulted worker's
     /// batch is requeued with a bumped retry count, not answered.
     #[test]
@@ -735,7 +786,6 @@ mod tests {
         assert!(a_rx.try_wait().expect("reply").is_ok());
         assert!(b_rx.try_wait().expect("reply").is_ok());
         let snap = s.obs.snapshot();
-        use nacu::Function;
         let qw = snap.stage(Stage::QueueWait, Function::Sigmoid).unwrap();
         assert_eq!(qw.count, 2, "one queue-wait sample per live job");
         let svc = snap.stage(Stage::BatchService, Function::Sigmoid).unwrap();

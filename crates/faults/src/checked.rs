@@ -18,6 +18,12 @@
 //! | MAC residue | MAC source nets vs pre-round sum | `MacOperandA/B`, `MacAccumulator` |
 //! | σ sentinel | σ output register | `SigmaOut` + large upstream faults |
 //!
+//! While its plan is empty the unit also carries the golden ROM compiled
+//! to a [`CompiledNacu`] ([`CheckedNacu::compiled`]): with no injector
+//! armed the detectors cannot fire (the no-false-positive sweep in
+//! `tests/bit_identity.rs`), so fault-free callers may serve from that
+//! walk instead of the checked nets. Arming a non-empty plan drops it.
+//!
 //! `BiasOut` faults are deliberately outside the MAC residue's protection
 //! domain (the shadow taps the bias *port*, i.e. the already-faulted
 //! wire), so low-bit bias faults propagate silently — the campaign
@@ -27,7 +33,7 @@ use nacu_fixed::{Fx, Overflow, QFormat, Rounding};
 
 use nacu::bias;
 use nacu::divider;
-use nacu::{Function, Nacu, NacuConfig, NacuError};
+use nacu::{CompiledNacu, Function, Nacu, NacuConfig, NacuError};
 
 use crate::detect::{
     entry_parity, residue3, residue_add, residue_mul, residue_pow2, DetectorSet, FaultEvent,
@@ -94,6 +100,10 @@ pub struct CheckedNacu {
     parity: Vec<u8>,
     plan: FaultPlan,
     detectors: DetectorSet,
+    /// The golden ROM compiled for fault-free serving; `None` once a
+    /// non-empty plan is armed, or for words wider than
+    /// [`CompiledNacu::MAX_BITS`].
+    compiled: Option<CompiledNacu>,
 }
 
 impl CheckedNacu {
@@ -108,6 +118,7 @@ impl CheckedNacu {
         let bits = config.format.total_bits();
         let parity = rom.iter().map(|&(s, q)| entry_parity(s, q, bits)).collect();
         Ok(Self {
+            compiled: CompiledNacu::new(&golden),
             golden,
             rom,
             parity,
@@ -120,9 +131,13 @@ impl CheckedNacu {
     /// the stored ROM words immediately — parity keeps the bit computed
     /// from the golden table, which is exactly what makes them
     /// detectable. Out-of-range LUT entries in the plan are ignored (the
-    /// address decoder cannot reach them).
+    /// address decoder cannot reach them). A non-empty plan drops the
+    /// [`Self::compiled`] walk: from here on only the checked nets serve.
     #[must_use]
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
+        if !plan.is_empty() {
+            self.compiled = None;
+        }
         let bits = self.golden.config().format.total_bits();
         for fault in plan.permanent_lut_faults() {
             let Some(entry) = fault.entry.and_then(|e| self.rom.get_mut(e)) else {
@@ -149,6 +164,15 @@ impl CheckedNacu {
     #[must_use]
     pub fn golden(&self) -> &Nacu {
         &self.golden
+    }
+
+    /// The golden ROM compiled to constants and `i64` arithmetic,
+    /// bit-identical to [`Self::golden`]; present exactly while no fault
+    /// plan is armed (and the word is at most [`CompiledNacu::MAX_BITS`]
+    /// wide).
+    #[must_use]
+    pub fn compiled(&self) -> Option<&CompiledNacu> {
+        self.compiled.as_ref()
     }
 
     /// The unit configuration.
@@ -669,6 +693,22 @@ mod tests {
             }
         }
         assert_eq!(events, 1, "a single-event upset fires parity exactly once");
+    }
+
+    #[test]
+    fn compiled_walk_is_present_exactly_while_the_plan_is_empty() {
+        assert!(checked().compiled().is_some());
+        assert!(checked().with_plan(FaultPlan::new()).compiled().is_some());
+        let fault = Fault::stuck(InjectionSite::SigmaOut, 0, true);
+        assert!(checked()
+            .with_plan(FaultPlan::single(fault))
+            .compiled()
+            .is_none());
+        // Detectors alone do not change what the unit computes.
+        assert!(checked()
+            .with_detectors(DetectorSet::none())
+            .compiled()
+            .is_some());
     }
 
     #[test]

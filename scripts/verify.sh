@@ -53,6 +53,21 @@ stage servebench-build env CARGO_TARGET_DIR=target/servebench \
 # over synthetic pair tables; stdlib only, runs no benchmark.
 stage paired-bench-selftest python3 scripts/test_paired_bench.py
 
+# Every planted regression (ci/planted/*.patch) must still apply to this
+# tree. The must-fail CI job that plants them runs only on a schedule, so
+# a change that moves a patch's context would otherwise break it unseen.
+planted_patches_apply() {
+    local patch
+    for patch in ci/planted/*.patch; do
+        git apply --check "$patch" || {
+            echo "${patch} no longer applies; refresh it against this tree" >&2
+            return 1
+        }
+        echo "applies: ${patch}"
+    done
+}
+stage planted-patches planted_patches_apply
+
 # Zero-drift accuracy gate: the golden error tables must match the
 # committed baseline to 0 LSB.
 stage accuracy-gate cargo run --release --offline -q -p nacu-bench --bin accuracy_gate -- \

@@ -263,10 +263,13 @@ fn queue_full_answers_busy_frame_on_a_surviving_connection() {
 
     // Pin the single worker on a long datapath softmax, then keep the
     // one-slot queue topped up in-process until a wire request bounces.
+    // Sized for the compiled walk (~15 ns per softmax operand): the pin
+    // holds the worker for tens of ms and each filler for a few, longer
+    // than a probe's round trip on a loaded host.
     let pinned = handle
         .submit(Request::new(
             Function::Softmax,
-            operands_for(fmt, Function::Tanh, 0, 200_000),
+            operands_for(fmt, Function::Tanh, 0, 2_000_000),
         ))
         .expect("pin the worker");
     let mut fillers = Vec::new();
@@ -275,7 +278,7 @@ fn queue_full_answers_busy_frame_on_a_surviving_connection() {
         while fillers.len() < 64 {
             match handle.submit(Request::new(
                 Function::Softmax,
-                operands_for(fmt, Function::Tanh, 0, 20_000),
+                operands_for(fmt, Function::Tanh, 0, 200_000),
             )) {
                 Ok(ticket) => fillers.push(ticket),
                 Err(SubmitError::Busy { .. }) => break,
